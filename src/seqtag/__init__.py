@@ -1,5 +1,4 @@
 """Sequence-labeling lab: hierarchical bi-LSTM tagger with a log-frequency
-auxiliary loss, a TnT-style trigram HMM baseline, and an experiment harness
-(OOV/frequency-bin analysis, learning curves, label-noise curves)."""
+auxiliary loss and a TnT-style trigram HMM baseline."""
 
 __version__ = "0.1.0"

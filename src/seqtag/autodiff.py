@@ -1,8 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The engine is deliberately small: rank <= 2 arrays, a flat operation tape,
-and exactly the primitives the taggers need.  Everything runs in 64-bit
-floats so gradient checks are limited by truncation error, not precision.
+The engine is deliberately small: a flat operation tape and exactly the
+primitives the taggers need.  The ops that carry a sentence (lookup,
+concat, affine, noise, softmax_xent) take either one vector or a matrix
+with one row per token, so a sentence records a few nodes, not a few per
+token.  Everything runs in 64-bit floats so gradient checks are limited by
+truncation error, not precision.
 
 Gradients for a table parameter accessed through ``lookup_row`` are kept as
 sparse per-row updates (see :class:`SparseRows`); all other gradients are
@@ -84,15 +87,20 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
     def normal(self, n, sigma=1.0):
-        """n Gaussian draws N(0, sigma^2) as a float64 array (Box-Muller)."""
-        m = (n + 1) // 2
-        u1 = 1.0 - self.uniform_array(m)  # (0, 1]: keeps log finite
-        u2 = self.uniform_array(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        out = np.empty(2 * m)
-        out[0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[1::2] = r * np.sin(2.0 * np.pi * u2)
-        return sigma * out[:n]
+        """n Gaussian draws N(0, sigma^2) as a float64 array (Box-Muller).
+
+        n may also be a (rows, width) shape: row k then holds exactly what
+        the k-th of `rows` successive normal(width) calls would return.
+        """
+        rows, width = (1, n) if np.ndim(n) == 0 else n
+        m = (width + 1) // 2
+        u = self.uniform_array(rows * 2 * m).reshape(rows, 2, m)
+        r = np.sqrt(-2.0 * np.log(1.0 - u[:, 0]))  # 1 - u in (0, 1]: keeps log finite
+        out = np.empty((rows, 2 * m))
+        out[:, 0::2] = r * np.cos(2.0 * np.pi * u[:, 1])
+        out[:, 1::2] = r * np.sin(2.0 * np.pi * u[:, 1])
+        out = sigma * out[:, :width]
+        return out[0] if np.ndim(n) == 0 else out
 
     def gauss(self, sigma=1.0):
         return float(self.normal(1, sigma)[0])
@@ -162,6 +170,14 @@ class SparseRows:
             self.rows[i] += g
         else:
             self.rows[i] = g.copy()
+
+    def add_rows(self, ids, g):
+        """Add g[k] to row ids[k] for every k; ids may repeat."""
+        uniq, inv = np.unique(ids, return_inverse=True)
+        summed = np.zeros((len(uniq), self.shape[1]))
+        np.add.at(summed, inv.reshape(-1), g.reshape(-1, self.shape[1]))
+        for i, row in zip(uniq.tolist(), summed):
+            self.add(i, row)
 
     def to_dense(self):
         out = np.zeros(self.shape)
@@ -332,10 +348,12 @@ def _bw_matvec(tape, i, g):
 
 
 def affine(tape, w, x, b):
+    """W x + b for a vector x, or x W^T + b row by row for a matrix x."""
     w, x, b = wrap(tape, w), wrap(tape, x), wrap(tape, b)
-    if w.v.ndim != 2 or w.v.shape[1] != x.v.shape[0] or b.v.shape != (w.v.shape[0],):
+    if w.v.ndim != 2 or x.v.ndim not in (1, 2) or w.v.shape[1] != x.v.shape[-1] \
+            or b.v.shape != (w.v.shape[0],):
         raise ValueError(f"affine: bad shapes {w.v.shape}, {x.v.shape}, {b.v.shape}")
-    out = w.v @ x.v + b.v
+    out = w.v @ x.v + b.v if x.v.ndim == 1 else x.v @ w.v.T + b.v
     if tape is None:
         return Tensor(out)
     return tape.record("affine", (w.node, x.node, b.node), out, (w.v, x.v))
@@ -344,34 +362,52 @@ def affine(tape, w, x, b):
 def _bw_affine(tape, i, g):
     pw, px, pb = tape.parents[i]
     wv, xv = tape.aux[i]
+    g2 = g.reshape(-1, g.shape[-1])
     if pw is not None:
         tape.gbuf(pw)
-        tape.grads[pw] += np.outer(g, xv)
+        tape.grads[pw] += g2.T @ xv.reshape(g2.shape[0], -1)
     if px is not None:
         tape.gbuf(px)
-        tape.grads[px] += wv.T @ g
-    tape.acc(pb, g)
+        tape.grads[px] += (g2 @ wv).reshape(xv.shape)
+    tape.acc(pb, g2.sum(axis=0))
 
 
 def concat(tape, parts):
+    """Parts joined along their last axis; the other axes must agree."""
     parts = [wrap(tape, p) for p in parts]
     if not parts:
         raise ValueError("concat of zero parts")
+    lead = parts[0].v.shape[:-1]
     for p in parts:
-        if p.v.ndim != 1:
-            raise ValueError("concat expects vectors")
-    out = np.concatenate([p.v for p in parts])
+        if p.v.ndim == 0 or p.v.shape[:-1] != lead:
+            raise ValueError(f"concat: shapes {[q.v.shape for q in parts]} differ before the last axis")
+    out = np.concatenate([p.v for p in parts], axis=-1)
     if tape is None:
         return Tensor(out)
-    sizes = tuple(p.v.shape[0] for p in parts)
+    sizes = tuple(p.v.shape[-1] for p in parts)
     return tape.record("concat", tuple(p.node for p in parts), out, sizes)
 
 
 def _bw_concat(tape, i, g):
     off = 0
     for parent, size in zip(tape.parents[i], tape.aux[i]):
-        tape.acc(parent, g[off : off + size])
+        tape.acc(parent, g[..., off : off + size])
         off += size
+
+
+def take(tape, x, index):
+    """x[index] as a copy; the gradient scatters back (repeats accumulate)."""
+    x = wrap(tape, x)
+    out = np.array(x.v[index])
+    if tape is None:
+        return Tensor(out)
+    return tape.record("take", (x.node,), out, index)
+
+
+def _bw_take(tape, i, g):
+    parent = tape.parents[i][0]
+    if parent is not None:
+        np.add.at(tape.gbuf(parent), tape.aux[i], g)
 
 
 def tanh(tape, x):
@@ -411,10 +447,12 @@ def _bw_logistic(tape, i, g):
 
 
 def lookup_row(tape, table, i):
-    """Row i of an embedding table; gradient is a sparse row update."""
+    """Row i of an embedding table, or the rows of an integer array i (one
+    output row per id, in i's shape); the gradient is a sparse row update."""
     table = wrap(tape, table)
     tv = table.v
-    if not 0 <= i < tv.shape[0]:
+    ids = np.asarray(i)
+    if ids.size and not (0 <= ids.min() and ids.max() < tv.shape[0]):
         raise IndexError(f"lookup_row: row {i} outside table of {tv.shape[0]}")
     out = tv[i].copy()
     if tape is None:
@@ -425,36 +463,58 @@ def lookup_row(tape, table, i):
 def _bw_lookup(tape, i, g):
     parent = tape.parents[i][0]
     if parent is not None:
-        tape.sbuf(parent).add(tape.aux[i], g)
+        ids = tape.aux[i]
+        if isinstance(ids, np.ndarray):
+            tape.sbuf(parent).add_rows(ids, g)
+        else:
+            tape.sbuf(parent).add(ids, g)
 
 
 def softmax_xent(tape, logits, gold):
-    """Scalar -log softmax(logits)[gold], computed via log-sum-exp."""
+    """Scalar -log softmax(logits)[gold], computed via log-sum-exp.
+
+    For a (T, K) logits matrix, gold holds one class per row and the result
+    is the sum of the T row losses.
+    """
     z = wrap(tape, logits)
-    if z.v.ndim != 1:
-        raise ValueError("softmax_xent expects a logits vector")
-    if not 0 <= gold < z.v.shape[0]:
-        raise IndexError(f"gold index {gold} outside {z.v.shape[0]} classes")
-    m = z.v.max()
-    ez = np.exp(z.v - m)
-    total = ez.sum()
-    out = np.asarray(m + math.log(total) - z.v[gold])
+    if z.v.ndim not in (1, 2):
+        raise ValueError("softmax_xent expects a logits vector or matrix")
+    z2 = z.v.reshape(-1, z.v.shape[-1])
+    gold = np.asarray(gold, dtype=np.intp).reshape(-1)
+    if gold.shape != (z2.shape[0],):
+        raise ValueError(f"softmax_xent: {gold.size} gold classes for {z2.shape[0]} rows")
+    if not (0 <= gold.min() and gold.max() < z2.shape[1]):
+        raise IndexError(f"gold index {gold.tolist()} outside {z2.shape[1]} classes")
+    rows = np.arange(z2.shape[0])
+    m = z2.max(axis=1, keepdims=True)
+    ez = np.exp(z2 - m)
+    total = ez.sum(axis=1, keepdims=True)
+    out = np.asarray((m[:, 0] + np.log(total[:, 0]) - z2[rows, gold]).sum())
     if tape is None:
         return Tensor(out)
-    return tape.record("xent", (z.node,), out, (ez / total, gold))
+    return tape.record("xent", (z.node,), out, (ez / total, rows, gold))
 
 
 def _bw_xent(tape, i, g):
-    probs, gold = tape.aux[i]
+    parent = tape.parents[i][0]
+    if parent is None:
+        return
+    probs, rows, gold = tape.aux[i]
     d = probs * g
-    d[gold] -= g
-    tape.acc(tape.parents[i][0], d)
+    d[rows, gold] -= g
+    tape.acc(parent, d.reshape(tape.values[parent].shape))
 
 
 def gaussian_noise(tape, x, sigma, rng):
-    """x + eps with eps ~ N(0, sigma^2) elementwise; identity gradient."""
+    """x + eps with eps ~ N(0, sigma^2) elementwise; identity gradient.
+
+    A matrix draws eps row by row, so each row gets the noise it would get
+    noised on its own.  (One normal(x.size) draw would not do: Box-Muller
+    pairs its u1 and u2 blocks across rows.)
+    """
     x = wrap(tape, x)
-    out = x.v + rng.normal(x.v.shape[0], sigma)
+    width = x.v.shape[-1]
+    out = x.v + rng.normal((x.v.size // width, width), sigma).reshape(x.v.shape)
     if tape is None:
         return Tensor(out)
     return tape.record("noise", (x.node,), out)
@@ -471,6 +531,7 @@ BACKWARD.update(
         "matvec": _bw_matvec,
         "affine": _bw_affine,
         "concat": _bw_concat,
+        "take": _bw_take,
         "tanh": _bw_tanh,
         "logistic": _bw_logistic,
         "lookup": _bw_lookup,

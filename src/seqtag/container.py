@@ -73,3 +73,20 @@ def load_container(path):
     if offset != len(body):
         raise ModelError(f"{path}: {len(body) - offset} unexpected trailing bytes")
     return header, arrays
+
+
+def header_field(path, header, name, decode=None):
+    """header[name], passed through decode when given.
+
+    A missing field, or one that decode rejects, raises ModelError naming the
+    file and the field: a checksum only proves the header is what was
+    written, not that a model of this kind wrote it.
+    """
+    if name not in header:
+        raise ModelError(f"{path}: header has no {name!r} field")
+    if decode is None:
+        return header[name]
+    try:
+        return decode(header[name])
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise ModelError(f"{path}: bad {name!r} field: {type(e).__name__}: {e}") from e

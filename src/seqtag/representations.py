@@ -1,4 +1,4 @@
-"""Vocabularies, embedding tables, and word -> vector composition.
+"""Vocabularies, embedding tables, and sentence -> token matrix composition.
 
 A token representation is assembled from up to three sources, always
 concatenated in the fixed order word o char o byte:
@@ -6,6 +6,14 @@ concatenated in the fixed order word o char o byte:
   w    learned word embedding (UNK row for unseen forms)
   c    sequence bi-LSTM over [start, code points..., end] character ids
   b    sequence bi-LSTM over [start, UTF-8 bytes..., end] byte ids
+
+A whole sentence is encoded at once into a (T, out_dim) matrix, one row
+per token.  The word rows come from one table lookup.  Each subword
+encoder pads the sentence's symbol sequences to the longest one (with the
+end marker, which no state ever reads) and runs its forward and reverse
+LSTMs over all words as one batch, so a sentence costs as many recurrent
+steps as its longest word has symbols, not the sum over its words.  Row k
+equals the encoding of word k on its own.
 
 Vocabularies are frozen at training time: lookups of unseen symbols map to
 reserved UNK ids and never extend the inventory.  Forms are never
@@ -17,7 +25,7 @@ from collections import Counter
 
 import numpy as np
 
-from .autodiff import Parameter, glorot, lookup_row
+from .autodiff import Parameter, concat, glorot, lookup_row
 from .corpus import DataError
 from .recurrent import LstmCell, birnn_seq
 
@@ -163,11 +171,15 @@ def subtoken_ids(word, level, vocab=None):
     raise ValueError(f"unknown subtoken level {level!r}")
 
 
-def compose_subtoken(word, level, cell_f, cell_r, table, vocab=None, tape=None):
-    """Sequence bi-LSTM encoding of a word's subtoken symbols (2*hidden dims)."""
-    ids = subtoken_ids(word, level, vocab)
-    xs = [lookup_row(tape, table, i) for i in ids]
-    return birnn_seq(cell_f, cell_r, xs, tape)
+def subtoken_batch(words, level, vocab=None):
+    """(B, L) marker-wrapped symbol ids of B words, padded with the end
+    marker to the longest, and each word's symbol count."""
+    seqs = [subtoken_ids(w, level, vocab) for w in words]
+    lengths = np.array([len(q) for q in seqs])
+    ids = np.full((len(seqs), lengths.max()), CHAR_END if level == "char" else BYTE_END)
+    for k, q in enumerate(seqs):
+        ids[k, : len(q)] = q
+    return ids, lengths
 
 
 class TokenEncoder:
@@ -208,34 +220,27 @@ class TokenEncoder:
             out += self.byte_f.parameters() + self.byte_r.parameters()
         return out
 
-    def encode(self, word, tape=None, replace_unk=False):
-        """Token vector in the fixed order word o char o byte.
+    def encode(self, words, tape=None, replace_unk=None):
+        """(len(words), out_dim) token matrix, columns in the order word o char o byte.
 
-        `replace_unk` routes the *word-table* lookup through the UNK row
-        (the subtoken paths still see the true spelling).
+        `replace_unk[k]` true routes word k's *word-table* lookup through the
+        UNK row (the subtoken paths still see the true spelling).
         """
+        if not words:
+            raise ValueError("encode: empty sentence")
         parts = []
         if self.config.uses_word:
-            wid = 0 if replace_unk else self.vocab.word_id(word)
-            parts.append(lookup_row(tape, self.word_table, wid))
+            ids = [0 if replace_unk and replace_unk[k] else self.vocab.word_id(w) for k, w in enumerate(words)]
+            parts.append(lookup_row(tape, self.word_table, np.array(ids)))
         if self.config.uses_char:
-            parts.append(
-                compose_subtoken(word, "char", self.char_f, self.char_r, self.char_table, self.vocab, tape)
-            )
+            ids, lengths = subtoken_batch(words, "char", self.vocab)
+            x = lookup_row(tape, self.char_table, ids)
+            parts.append(birnn_seq(self.char_f, self.char_r, x, lengths, tape))
         if self.config.uses_byte:
-            parts.append(
-                compose_subtoken(word, "byte", self.byte_f, self.byte_r, self.byte_table, None, tape)
-            )
-        if len(parts) == 1:
-            return parts[0]
-        from .autodiff import concat
-
-        return concat(tape, parts)
-
-
-def token_repr(word, encoder, tape=None, replace_unk=False):
-    """Representation of one token under the encoder's mode."""
-    return encoder.encode(word, tape, replace_unk)
+            ids, lengths = subtoken_batch(words, "byte")
+            x = lookup_row(tape, self.byte_table, ids)
+            parts.append(birnn_seq(self.byte_f, self.byte_r, x, lengths, tape))
+        return parts[0] if len(parts) == 1 else concat(tape, parts)
 
 
 def load_pretrained(path, vocab, word_table, allow_resize=False, rng=None):

@@ -1,10 +1,12 @@
 """Hierarchical context bi-LSTM tagger with an auxiliary frequency-bin head.
 
-Each token is encoded by the representation layer, perturbed with Gaussian
-noise during training, and fed through a context bi-LSTM; an affine head
-over each position's encoding scores the tags, and (optionally) a second
-head scores the token's log-frequency bin.  The joint loss is the sum of
-both cross-entropies over all tokens.
+The representation layer encodes a sentence into a (T, D) token matrix,
+which is perturbed with Gaussian noise during training and fed through a
+context bi-LSTM; an affine head over each position's encoding scores the
+tags, and (optionally) a second head scores the token's log-frequency bin.
+The joint loss is the sum of both cross-entropies over all tokens.  Every
+layer works on the whole sentence's matrix, so a sentence records a few
+dozen tape nodes whatever its length.
 
 Training is plain SGD, one update per sentence, sentence order reshuffled
 every epoch with a seeded stream; everything is deterministic for a fixed
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import Parameter, Rng, Tape, add, affine, gaussian_noise, glorot, sgd_step, softmax_xent
-from .container import ModelError, load_container, save_container
+from .container import ModelError, header_field, load_container, save_container
 from .recurrent import LstmCell, SimpleRnnCell, birnn_ctx
 from .representations import ReprConfig, TokenEncoder, Vocab, build_vocab, load_pretrained
 
@@ -77,6 +79,7 @@ def freqbin_label(freq, base=math.e):
     return int(math.log(freq) / math.log(base)) if base != math.e else int(math.log(freq))
 
 
+# (T, n_tags) and (T, n_bins) logit matrices; freq_logits is None without the aux head
 TokenScores = namedtuple("TokenScores", ["tag_logits", "freq_logits"])
 
 
@@ -139,29 +142,20 @@ class TaggerModel:
     def predict(self, tokens):
         """Most likely tag per token; ties resolve to the lowest tag index."""
         scores = forward_sentence(self, tokens)
-        return [self.tagset[int(np.argmax(s.tag_logits.v))] for s in scores]
+        return [self.tagset[i] for i in np.argmax(scores.tag_logits.v, axis=1).tolist()]
 
 
 def forward_sentence(model, tokens, training=False, rng=None, tape=None, unk_mask=None):
-    """Per-token tag logits (and freq logits when the aux head exists)."""
+    """Tag logits (and freq logits when the aux head exists), one row per token."""
     if not tokens:
         raise ValueError("forward_sentence: empty sentence")
-    hp = model.hp
-    reprs = []
-    for i, form in enumerate(tokens):
-        r = model.encoder.encode(form, tape, replace_unk=bool(unk_mask and unk_mask[i]))
-        if training and hp.sigma > 0.0:
-            r = gaussian_noise(tape, r, hp.sigma, rng)
-        reprs.append(r)
-    vs = birnn_ctx(model.ctx_f, model.ctx_r, reprs, tape)
-    out = []
-    for v in vs:
-        tag_logits = affine(tape, model.tag_W, v, model.tag_b)
-        freq_logits = (
-            affine(tape, model.freq_W, v, model.freq_b) if model.freq_W is not None else None
-        )
-        out.append(TokenScores(tag_logits, freq_logits))
-    return out
+    x = model.encoder.encode(tokens, tape, replace_unk=unk_mask)
+    if training and model.hp.sigma > 0.0:
+        x = gaussian_noise(tape, x, model.hp.sigma, rng)
+    v = birnn_ctx(model.ctx_f, model.ctx_r, x, tape)
+    tag_logits = affine(tape, model.tag_W, v, model.tag_b)
+    freq_logits = affine(tape, model.freq_W, v, model.freq_b) if model.freq_W is not None else None
+    return TokenScores(tag_logits, freq_logits)
 
 
 def sentence_loss(model, sentence, tape=None, rng=None, training=False):
@@ -176,18 +170,17 @@ def sentence_loss(model, sentence, tape=None, rng=None, training=False):
             model.vocab.freq(form) == 1 and rng.uniform() < UNK_REPLACE_PROB
             for form in sentence.forms
         ]
+    gold = [model.tag_index.get(tag) for tag in sentence.tags]
+    if None in gold:
+        raise ValueError(f"gold tag {sentence.tags[gold.index(None)]!r} not in model tagset")
     scores = forward_sentence(model, sentence.forms, training, rng, tape, unk_mask)
-    total = None
-    for i, (form, tag) in enumerate(zip(sentence.forms, sentence.tags)):
-        gold = model.tag_index.get(tag)
-        if gold is None:
-            raise ValueError(f"gold tag {tag!r} not in model tagset")
-        piece = softmax_xent(tape, scores[i].tag_logits, gold)
-        if scores[i].freq_logits is not None:
-            freq = 0 if unk_mask and unk_mask[i] else model.vocab.freq(form)
-            fbin = 0 if unk_mask and unk_mask[i] else freqbin_label(freq, model.hp.freqbin_log_base)
-            piece = add(tape, piece, softmax_xent(tape, scores[i].freq_logits, fbin))
-        total = piece if total is None else add(tape, total, piece)
+    total = softmax_xent(tape, scores.tag_logits, gold)
+    if scores.freq_logits is not None:
+        fbins = [
+            0 if unk_mask and unk_mask[i] else freqbin_label(model.vocab.freq(form), model.hp.freqbin_log_base)
+            for i, form in enumerate(sentence.forms)
+        ]
+        total = add(tape, total, softmax_xent(tape, scores.freq_logits, fbins))
     return total
 
 
@@ -267,15 +260,13 @@ def load(path):
     header, arrays = load_container(path)
     if header.get("kind") != "bilstm":
         raise ModelError(f"{path}: container holds a {header.get('kind')!r} model, not bilstm")
-    hp = Hyperparams(**header["hp"])
-    vocab = Vocab.from_dict(header["vocab"])
     model = TaggerModel(
-        hp,
-        vocab,
-        header["tagset"],
-        header["n_bins"],
+        header_field(path, header, "hp", lambda d: Hyperparams(**d)),
+        header_field(path, header, "vocab", Vocab.from_dict),
+        header_field(path, header, "tagset", list),
+        header_field(path, header, "n_bins", int),
         init_rng=None,
-        word_dim=header["word_dim_actual"],
+        word_dim=header_field(path, header, "word_dim_actual", lambda v: v if v is None else int(v)),
     )
     for p in model.parameters():
         if p.name not in arrays:

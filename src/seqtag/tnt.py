@@ -25,7 +25,7 @@ from collections import Counter
 
 import numpy as np
 
-from .container import ModelError, load_container, save_container
+from .container import ModelError, header_field, load_container, save_container
 
 BOUNDARY = "<s>"
 NEG_INF = float("-inf")
@@ -188,22 +188,29 @@ class TrigramModel:
             return None, None
         return trie.query(word), trie.prior
 
-    def emission(self, word, tag):
-        """P(word | tag): ML for known words, suffix Bayes inversion otherwise."""
+    def _emissions(self, word, tags):
+        """[P(word | t) for t in tags]: ML for known words, suffix Bayes
+        inversion otherwise, with one suffix lookup for all tags."""
         counts = self.emit.get(word)
         if counts is not None:
-            return counts.get(tag, 0) / self.uni[tag]
+            return [counts.get(t, 0) / self.uni[t] for t in tags]
         dist, prior = self._suffix_dist(word)
         if dist is None:
-            return 1.0 / len(self.tagset)  # no suffix data at all: uninformative
-        p_tag = prior.get(tag, 0.0)
-        if p_tag == 0.0:
-            return 0.0
-        return dist.get(tag, 0.0) / p_tag
+            return [1.0 / len(self.tagset)] * len(tags)  # no suffix data at all: uninformative
+        return [dist.get(t, 0.0) / prior[t] if prior.get(t, 0.0) else 0.0 for t in tags]
+
+    def emission(self, word, tag):
+        """P(word | tag): ML for known words, suffix Bayes inversion otherwise."""
+        return self._emissions(word, (tag,))[0]
 
     def emission_logp(self, word, tag):
         p = self.emission(word, tag)
         return math.log(p) if p > 0.0 else NEG_INF
+
+    def emission_logps(self, word):
+        """[emission_logp(word, t) for t in tagset] as an array, from one
+        suffix lookup where the scalar calls would make one per tag."""
+        return np.array([math.log(p) if p > 0.0 else NEG_INF for p in self._emissions(word, self.tagset)])
 
     def transition_logp(self, t1, t2, t3):
         p = self.transition(t1, t2, t3)
@@ -264,9 +271,7 @@ def viterbi(model, tokens, beam=1000.0):
     tags = model.tagset
     k = len(tags)
     lt0, lt1, lt = model._tables()
-    emis = [
-        np.array([model.emission_logp(w, t) for t in tags]) for w in tokens
-    ]
+    emis = [model.emission_logps(w) for w in tokens]
     cut = math.log(beam) if beam > 0 else None
 
     def prune(v):
@@ -327,18 +332,22 @@ def load_hmm(path):
     header, _ = load_container(path)
     if header.get("kind") != "tnt":
         raise ModelError(f"{path}: container holds a {header.get('kind')!r} model, not tnt")
-    cfg = header["config"]
+
+    def field(name, decode=None):
+        return header_field(path, header, name, decode)
+
     model = TrigramModel(
-        header["tagset"], cfg["max_suffix_len"], cfg["suffix_max_freq"], cfg["beam_default"]
+        field("tagset", list),
+        *field("config", lambda c: (c["max_suffix_len"], c["suffix_max_freq"], c["beam_default"])),
     )
-    model.n_tokens = header["n_tokens"]
-    model.lambdas = tuple(header["lambdas"])
-    model.uni = Counter(header["uni"])
-    model.hist1 = Counter(header["hist1"])
-    model.bi = Counter({(a, b): c for a, b, c in header["bi"]})
-    model.hist2 = Counter({(a, b): c for a, b, c in header["hist2"]})
-    model.tri = Counter({(a, b, t): c for a, b, t, c in header["tri"]})
-    model.emit = {w: Counter(tags) for w, tags in header["emit"].items()}
+    model.n_tokens = field("n_tokens", int)
+    model.lambdas = field("lambdas", tuple)
+    model.uni = field("uni", Counter)
+    model.hist1 = field("hist1", Counter)
+    model.bi = field("bi", lambda rows: Counter({(a, b): c for a, b, c in rows}))
+    model.hist2 = field("hist2", lambda rows: Counter({(a, b): c for a, b, c in rows}))
+    model.tri = field("tri", lambda rows: Counter({(a, b, t): c for a, b, t, c in rows}))
+    model.emit = field("emit", lambda d: {w: Counter(tags) for w, tags in d.items()})
     model.word_freq = Counter({w: sum(t.values()) for w, t in model.emit.items()})
     model._build_tries()
     return model

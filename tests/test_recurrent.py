@@ -1,29 +1,40 @@
-"""Cells and bidirectional compositions against straight-line references."""
+"""Fused sequence nodes and bidirectional compositions against per-step references."""
 
 import numpy as np
 import pytest
 
-from seqtag.autodiff import Parameter, Rng, Tape, affine, glorot, gradient_check, softmax_xent
-from seqtag.recurrent import (
-    LstmCell,
-    SimpleRnnCell,
-    birnn_ctx,
-    birnn_seq,
-    cell_step,
-    run,
+from seqtag.autodiff import (
+    BACKWARD,
+    Parameter,
+    Rng,
+    Tape,
+    add,
+    affine,
+    glorot,
+    gradient_check,
+    softmax_xent,
+    take,
 )
+from seqtag.recurrent import LstmCell, SimpleRnnCell, birnn_ctx, birnn_seq, rnn_seq
 
 
 def _sig(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _gate(mat, k, hdim):
+    """Block k of a stacked [i, f, g, o] gate parameter."""
+    return mat[k * hdim : (k + 1) * hdim]
+
+
 def reference_lstm_step(cell, x, h, c):
     """Gate-by-gate evaluation, independent of the fused implementation."""
-    i = _sig(cell.W_xi @ x + cell.W_hi @ h + cell.b_i)
-    f = _sig(cell.W_xf @ x + cell.W_hf @ h + cell.b_f)
-    o = _sig(cell.W_xo @ x + cell.W_ho @ h + cell.b_o)
-    g = np.tanh(cell.W_xg @ x + cell.W_hg @ h + cell.b_g)
+    hd = cell.hidden_dim
+    wx, wh, b = cell.W_x.v, cell.W_h.v, cell.b.v
+    i = _sig(_gate(wx, 0, hd) @ x + _gate(wh, 0, hd) @ h + _gate(b, 0, hd))
+    f = _sig(_gate(wx, 1, hd) @ x + _gate(wh, 1, hd) @ h + _gate(b, 1, hd))
+    g = np.tanh(_gate(wx, 2, hd) @ x + _gate(wh, 2, hd) @ h + _gate(b, 2, hd))
+    o = _sig(_gate(wx, 3, hd) @ x + _gate(wh, 3, hd) @ h + _gate(b, 3, hd))
     c2 = f * c + i * g
     h2 = o * np.tanh(c2)
     return h2, c2
@@ -33,185 +44,270 @@ def reference_rnn_step(cell, x, h):
     return np.tanh(cell.W_x.v @ x + cell.W_h.v @ h + cell.b.v)
 
 
+def reference_states(cell, xs):
+    """Hidden states after each step of consuming xs in order, from zero."""
+    h = np.zeros(cell.hidden_dim)
+    c = np.zeros(cell.hidden_dim)
+    out = []
+    for x in xs:
+        if cell.kind == "lstm":
+            h, c = reference_lstm_step(cell, x, h, c)
+        else:
+            h = reference_rnn_step(cell, x, h)
+        out.append(h)
+    return out
+
+
+def reference_grads(cell, xs, dhs):
+    """Per-step backpropagation through time, one np.outer per weight per step.
+
+    dhs[t] is the loss gradient reaching the state after step t directly.
+    Returns (dW_x, dW_h, db, [dx_t]).
+    """
+    hd = cell.hidden_dim
+    wx, wh = cell.W_x.v, cell.W_h.v
+    steps = []
+    h = np.zeros(hd)
+    c = np.zeros(hd)
+    for x in xs:
+        a = wx @ x + wh @ h + cell.b.v
+        if cell.kind == "lstm":
+            i, f, g, o = _sig(a[:hd]), _sig(a[hd : 2 * hd]), np.tanh(a[2 * hd : 3 * hd]), _sig(a[3 * hd :])
+            c2 = f * c + i * g
+            steps.append((x, h, c, i, f, g, o, np.tanh(c2)))
+            h, c = o * np.tanh(c2), c2
+        else:
+            h2 = np.tanh(a)
+            steps.append((x, h, h2))
+            h = h2
+    dwx, dwh, db = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(cell.b.v)
+    dxs = [None] * len(xs)
+    dh_next = np.zeros(hd)
+    dc_next = np.zeros(hd)
+    for t in range(len(xs) - 1, -1, -1):
+        dh = dhs[t] + dh_next
+        if cell.kind == "lstm":
+            x, h_prev, c_prev, i, f, g, o, tc = steps[t]
+            dc = dh * o * (1.0 - tc * tc) + dc_next
+            da = np.concatenate([
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                dh * tc * o * (1.0 - o),
+            ])
+            dc_next = dc * f
+        else:
+            x, h_prev, h2 = steps[t]
+            da = dh * (1.0 - h2 * h2)
+        dwx += np.outer(da, x)
+        dwh += np.outer(da, h_prev)
+        db += da
+        dxs[t] = wx.T @ da
+        dh_next = wh.T @ da
+    return dwx, dwh, db, dxs
+
+
 def _seeded_lstm(name="lstm", input_dim=3, hidden_dim=4, seed=17):
     return LstmCell(name, input_dim, hidden_dim, Rng(seed))
+
+
+def _ragged_batch(rng, lengths, dim):
+    """(B, T, dim) inputs; the padding is NaN, which must never be read."""
+    x = np.full((len(lengths), max(lengths), dim), np.nan)
+    for b, n in enumerate(lengths):
+        x[b, :n] = rng.normal(n * dim).reshape(n, dim)
+    return x
 
 
 class TestCellStep:
     def test_zero_lstm_params_give_zero_hidden(self):
         # o = 0.5 and tanh(c') = 0, so h' = 0 regardless of input
         cell = LstmCell("z", 3, 4)
-        out = cell_step(cell, np.array([1.0, -2.0, 0.5]), None)
-        np.testing.assert_array_equal(out.h.v, np.zeros(4))
-        np.testing.assert_array_equal(out.c.v, np.zeros(4))
+        out = rnn_seq(cell, np.array([[1.0, -2.0, 0.5]]))
+        np.testing.assert_array_equal(out.v, np.zeros((1, 4)))
 
     def test_zero_simple_rnn_gives_zero(self):
         cell = SimpleRnnCell("z", 3, 4)
-        out = cell_step(cell, np.array([1.0, 2.0, 3.0]), None)
-        np.testing.assert_array_equal(out.h.v, np.zeros(4))
+        out = rnn_seq(cell, np.array([[1.0, 2.0, 3.0]]))
+        np.testing.assert_array_equal(out.v, np.zeros((1, 4)))
 
     def test_lstm_matches_reference(self):
+        # the second step starts from the nonzero state the first one left
         cell = _seeded_lstm()
-        rng = Rng(99)
-        h = rng.normal(4)
-        c = rng.normal(4)
-        x = rng.normal(3)
-        state = cell_step(cell, x, cell_step(cell, np.zeros(3), None))
-        # manual state injection for the reference comparison
-        from seqtag.recurrent import RnnState
-        from seqtag.autodiff import Tensor
-
-        state = RnnState(Tensor(h), Tensor(c))
-        got = cell_step(cell, x, state)
-        want_h, want_c = reference_lstm_step(cell, x, h, c)
-        np.testing.assert_allclose(got.h.v, want_h, rtol=1e-12)
-        np.testing.assert_allclose(got.c.v, want_c, rtol=1e-12)
+        xs = Rng(99).normal(6).reshape(2, 3)
+        h, c = reference_lstm_step(cell, xs[0], np.zeros(4), np.zeros(4))
+        want_h, _ = reference_lstm_step(cell, xs[1], h, c)
+        got = rnn_seq(cell, xs)
+        np.testing.assert_allclose(got.v[0], h, rtol=1e-12)
+        np.testing.assert_allclose(got.v[1], want_h, rtol=1e-12)
 
     def test_simple_rnn_matches_reference(self):
         cell = SimpleRnnCell("r", 3, 4, Rng(5))
-        from seqtag.recurrent import RnnState
-        from seqtag.autodiff import Tensor
-
-        rng = Rng(6)
-        h = rng.normal(4)
-        x = rng.normal(3)
-        got = cell_step(cell, x, RnnState(Tensor(h)))
-        np.testing.assert_allclose(got.h.v, reference_rnn_step(cell, x, h), rtol=1e-12)
+        xs = Rng(6).normal(6).reshape(2, 3)
+        h = reference_rnn_step(cell, xs[0], np.zeros(4))
+        got = rnn_seq(cell, xs)
+        np.testing.assert_allclose(got.v[1], reference_rnn_step(cell, xs[1], h), rtol=1e-12)
 
     def test_dimension_mismatch(self):
         cell = _seeded_lstm()
         with pytest.raises(ValueError):
-            cell_step(cell, np.zeros(5), None)
+            rnn_seq(cell, np.zeros((2, 5)))
 
     def test_gate_views_have_spec_shapes(self):
+        # gates are stacked [i, f, g, o]; each block has the spec's shape
         cell = _seeded_lstm(input_dim=3, hidden_dim=4)
-        assert cell.W_xi.shape == (4, 3) and cell.W_hi.shape == (4, 4)
-        assert cell.b_f.shape == (4,)
+        assert cell.W_x.v.shape == (16, 3) and cell.W_h.v.shape == (16, 4)
+        assert cell.b.v.shape == (16,)
+        assert _gate(cell.W_x.v, 0, 4).shape == (4, 3) and _gate(cell.W_h.v, 0, 4).shape == (4, 4)
+        assert _gate(cell.b.v, 1, 4).shape == (4,)
 
 
 class TestRun:
     def test_length_one_forward_equals_reverse(self):
         cell = _seeded_lstm()
-        xs = [Rng(1).normal(3)]
-        f = run(cell, xs, "forward")
-        r = run(cell, xs, "reverse")
-        np.testing.assert_array_equal(f[0].h.v, r[0].h.v)
+        xs = Rng(1).normal(3).reshape(1, 3)
+        np.testing.assert_array_equal(rnn_seq(cell, xs).v, rnn_seq(cell, xs, reverse=True).v)
 
     def test_reverse_equals_forward_of_reversed(self):
         cell = _seeded_lstm()
-        rng = Rng(2)
-        xs = [rng.normal(3) for _ in range(5)]
-        rev = run(cell, xs, "reverse")
-        fwd = run(cell, xs[::-1], "forward")
-        for a, b in zip(rev, fwd):
-            np.testing.assert_array_equal(a.h.v, b.h.v)
+        xs = Rng(2).normal(15).reshape(5, 3)
+        rev = rnn_seq(cell, xs, reverse=True).v
+        fwd = rnn_seq(cell, xs[::-1]).v
+        np.testing.assert_array_equal(rev, fwd[::-1])
 
     def test_three_step_reference(self):
         cell = _seeded_lstm()
-        rng = Rng(3)
-        xs = [rng.normal(3) for _ in range(3)]
-        states = run(cell, xs, "forward")
-        h = np.zeros(4)
-        c = np.zeros(4)
-        for x, got in zip(xs, states):
-            h, c = reference_lstm_step(cell, x, h, c)
-            np.testing.assert_allclose(got.h.v, h, rtol=1e-12)
+        xs = Rng(3).normal(9).reshape(3, 3)
+        states = rnn_seq(cell, xs).v
+        for got, want in zip(states, reference_states(cell, xs)):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            run(_seeded_lstm(), [], "forward")
+            rnn_seq(_seeded_lstm(), np.zeros((0, 3)))
+        with pytest.raises(ValueError):
+            rnn_seq(_seeded_lstm(), np.zeros((2, 3, 3)), lengths=[2, 0])
+
+    def test_lengths_outside_the_batch_rejected(self):
+        with pytest.raises(ValueError):
+            rnn_seq(_seeded_lstm(), np.zeros((2, 3, 3)), lengths=[2, 4])
+        with pytest.raises(ValueError):
+            rnn_seq(_seeded_lstm(), np.zeros((2, 3, 3)), lengths=[2])
+
+    @pytest.mark.parametrize("kind", ["lstm", "simple_rnn"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_ragged_rows_match_the_reference_and_ignore_padding(self, kind, reverse):
+        cell = _seeded_lstm() if kind == "lstm" else SimpleRnnCell("r", 3, 4, Rng(5))
+        lengths = [3, 1, 5, 3]
+        x = _ragged_batch(Rng(4), lengths, 3)
+        out = rnn_seq(cell, x, lengths, reverse).v
+        for b, n in enumerate(lengths):
+            xs = x[b, :n][::-1] if reverse else x[b, :n]
+            want = reference_states(cell, xs)
+            got = out[b, :n][::-1] if reverse else out[b, :n]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(out[b, n:], 0.0)
+
+
+class TestFusedGradientsAgainstReference:
+    @pytest.mark.parametrize("kind", ["lstm", "simple_rnn"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_weights_and_inputs(self, kind, reverse):
+        cell = _seeded_lstm(input_dim=3, hidden_dim=4) if kind == "lstm" else SimpleRnnCell("r", 3, 4, Rng(5))
+        lengths = [1, 3, 5]
+        rng = Rng(61)
+        x = Parameter("x", np.nan_to_num(_ragged_batch(rng, lengths, 3)))
+        g = rng.normal(3 * 5 * 4).reshape(3, 5, 4)  # dL/d(out), padding included
+        tape = Tape()
+        out = rnn_seq(cell, x, lengths, reverse, tape)
+        tape.grads = [None] * len(tape)
+        tape.grads[out.node] = g
+        BACKWARD[tape.kinds[out.node]](tape, out.node, g)
+
+        want = [np.zeros_like(p.v) for p in cell.parameters()]
+        want_x = np.zeros_like(x.v)
+        for b, n in enumerate(lengths):
+            order = np.arange(n)[::-1] if reverse else np.arange(n)
+            dwx, dwh, db, dxs = reference_grads(cell, x.v[b, order], g[b, order])
+            for acc, part in zip(want, (dwx, dwh, db)):
+                acc += part
+            want_x[b, order] = dxs
+        for p, w in zip(cell.parameters(), want):
+            np.testing.assert_allclose(tape.grad(p), w, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(tape.grad(x), want_x, rtol=0, atol=1e-10)
 
 
 class TestBiRnn:
     def test_seq_single_element_same_cell_duplicates_halves(self):
         cell = _seeded_lstm()
-        x = Rng(4).normal(3)
-        v = birnn_seq(cell, cell, [x])
-        np.testing.assert_array_equal(v.v[:4], v.v[4:])
+        x = Rng(4).normal(3).reshape(1, 1, 3)
+        v = birnn_seq(cell, cell, x, [1])
+        np.testing.assert_array_equal(v.v[0, :4], v.v[0, 4:])
 
     def test_seq_output_dimension(self):
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
-        rng = Rng(9)
-        for n in (1, 2, 5):
-            xs = [rng.normal(3) for _ in range(n)]
-            assert birnn_seq(cf, cr, xs).v.shape == (8,)
+        x = Rng(9).normal(3 * 5 * 3).reshape(3, 5, 3)
+        assert birnn_seq(cf, cr, x, [1, 2, 5]).v.shape == (3, 8)
 
     def test_seq_matches_reference(self):
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
-        rng = Rng(10)
-        xs = [rng.normal(3) for _ in range(4)]
-        v = birnn_seq(cf, cr, xs)
-        h = np.zeros(4)
-        c = np.zeros(4)
-        for x in xs:
-            h, c = reference_lstm_step(cf, x, h, c)
-        hr = np.zeros(4)
-        cr_ = np.zeros(4)
-        for x in xs[::-1]:
-            hr, cr_ = reference_lstm_step(cr, x, hr, cr_)
-        np.testing.assert_allclose(v.v, np.concatenate([h, hr]), rtol=1e-12)
+        lengths = [4, 2]
+        x = _ragged_batch(Rng(10), lengths, 3)
+        v = birnn_seq(cf, cr, x, lengths).v
+        for b, n in enumerate(lengths):
+            h = reference_states(cf, x[b, :n])[-1]
+            hr = reference_states(cr, x[b, :n][::-1])[-1]
+            np.testing.assert_allclose(v[b], np.concatenate([h, hr]), rtol=1e-12)
 
     def test_ctx_single_position_equals_seq(self):
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
-        xs = [Rng(11).normal(3)]
-        np.testing.assert_array_equal(
-            birnn_ctx(cf, cr, xs)[0].v, birnn_seq(cf, cr, xs).v
-        )
+        xs = Rng(11).normal(3).reshape(1, 3)
+        np.testing.assert_array_equal(birnn_ctx(cf, cr, xs).v, birnn_seq(cf, cr, xs[None], [1]).v)
 
     def test_ctx_last_forward_half_matches_seq(self):
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
-        rng = Rng(12)
-        xs = [rng.normal(3) for _ in range(5)]
-        vs = birnn_ctx(cf, cr, xs)
-        seq = birnn_seq(cf, cr, xs)
-        np.testing.assert_array_equal(vs[-1].v[:4], seq.v[:4])
+        xs = Rng(12).normal(15).reshape(5, 3)
+        vs = birnn_ctx(cf, cr, xs).v
+        seq = birnn_seq(cf, cr, xs[None], [5]).v
+        np.testing.assert_array_equal(vs[-1, :4], seq[0, :4])
+        np.testing.assert_array_equal(vs[0, 4:], seq[0, 4:])
 
     def test_ctx_per_position_reference(self):
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
-        rng = Rng(13)
-        xs = [rng.normal(3) for _ in range(5)]
-        vs = birnn_ctx(cf, cr, xs)
-        # forward prefix states
-        h = np.zeros(4)
-        c = np.zeros(4)
-        fwd = []
-        for x in xs:
-            h, c = reference_lstm_step(cf, x, h, c)
-            fwd.append(h)
-        # reverse suffix states, indexed by start position
-        h = np.zeros(4)
-        c = np.zeros(4)
-        rev = [None] * 5
-        for i in range(4, -1, -1):
-            h, c = reference_lstm_step(cr, xs[i], h, c)
-            rev[i] = h
+        xs = Rng(13).normal(15).reshape(5, 3)
+        vs = birnn_ctx(cf, cr, xs).v
+        fwd = reference_states(cf, xs)  # prefix states
+        rev = reference_states(cr, xs[::-1])[::-1]  # suffix states, by start position
         for i in range(5):
-            np.testing.assert_allclose(vs[i].v, np.concatenate([fwd[i], rev[i]]), rtol=1e-12)
+            np.testing.assert_allclose(vs[i], np.concatenate([fwd[i], rev[i]]), rtol=1e-12)
 
     def test_reversal_duality(self):
         # reversing xs and swapping cells swaps the halves at mirrored positions
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
-        rng = Rng(14)
-        xs = [rng.normal(3) for _ in range(6)]
-        vs = birnn_ctx(cf, cr, xs)
-        ws = birnn_ctx(cr, cf, xs[::-1])
+        xs = Rng(14).normal(18).reshape(6, 3)
+        vs = birnn_ctx(cf, cr, xs).v
+        ws = birnn_ctx(cr, cf, xs[::-1]).v
         for i in range(6):
-            mirrored = ws[6 - 1 - i].v
-            np.testing.assert_allclose(vs[i].v[:4], mirrored[4:], rtol=1e-12)
-            np.testing.assert_allclose(vs[i].v[4:], mirrored[:4], rtol=1e-12)
+            mirrored = ws[6 - 1 - i]
+            np.testing.assert_allclose(vs[i, :4], mirrored[4:], rtol=1e-12)
+            np.testing.assert_allclose(vs[i, 4:], mirrored[:4], rtol=1e-12)
+
+
+def _head_loss(tape, states, head_w, head_b, gold):
+    return softmax_xent(tape, affine(tape, head_w, states, head_b), gold)
 
 
 class TestGradients:
     def test_six_step_lstm_gradient_check(self):
         cell = _seeded_lstm(input_dim=2, hidden_dim=3, seed=21)
         rng = Rng(22)
-        xs = [rng.normal(2) for _ in range(6)]
+        xs = rng.normal(12).reshape(6, 2)
         head_w = Parameter("head.W", glorot(rng, 2, 3))
         head_b = Parameter("head.b", np.zeros(2))
 
         def loss_fn(tape):
-            states = run(cell, xs, "forward", tape)
-            return softmax_xent(tape, affine(tape, head_w, states[-1].h, head_b), 1)
+            last = take(tape, rnn_seq(cell, xs, tape=tape), -1)
+            return _head_loss(tape, last, head_w, head_b, 1)
 
         params = cell.parameters() + [head_w, head_b]
         assert gradient_check(loss_fn, params, h=1e-5) < 1e-4
@@ -219,13 +315,13 @@ class TestGradients:
     def test_simple_rnn_gradient_check(self):
         cell = SimpleRnnCell("r", 2, 3, Rng(31))
         rng = Rng(32)
-        xs = [rng.normal(2) for _ in range(4)]
+        xs = rng.normal(8).reshape(4, 2)
         head_w = Parameter("head.W", glorot(rng, 2, 3))
         head_b = Parameter("head.b", np.zeros(2))
 
         def loss_fn(tape):
-            states = run(cell, xs, "reverse", tape)
-            return softmax_xent(tape, affine(tape, head_w, states[-1].h, head_b), 0)
+            first = take(tape, rnn_seq(cell, xs, reverse=True, tape=tape), 0)
+            return _head_loss(tape, first, head_w, head_b, 0)
 
         params = cell.parameters() + [head_w, head_b]
         assert gradient_check(loss_fn, params, h=1e-5) < 1e-4
@@ -234,27 +330,63 @@ class TestGradients:
         cf = _seeded_lstm(input_dim=2, hidden_dim=2, seed=41)
         crv = _seeded_lstm(input_dim=2, hidden_dim=2, seed=42)
         rng = Rng(43)
-        xs = [rng.normal(2) for _ in range(3)]
+        xs = Parameter("xs", rng.normal(6).reshape(3, 2))
         head_w = Parameter("head.W", glorot(rng, 3, 4))
         head_b = Parameter("head.b", np.zeros(3))
 
         def loss_fn(tape):
-            vs = birnn_ctx(cf, crv, xs, tape)
-            losses = [softmax_xent(tape, affine(tape, head_w, v, head_b), i % 3) for i, v in enumerate(vs)]
-            total = losses[0]
-            from seqtag.autodiff import add
+            return _head_loss(tape, birnn_ctx(cf, crv, xs, tape), head_w, head_b, [0, 1, 2])
 
-            for piece in losses[1:]:
-                total = add(tape, total, piece)
-            return total
+        params = cf.parameters() + crv.parameters() + [head_w, head_b, xs]
+        assert gradient_check(loss_fn, params, h=1e-5) < 1e-4
 
-        params = cf.parameters() + crv.parameters() + [head_w, head_b]
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_ragged_lstm_gradient_check(self, reverse):
+        # lengths 1, 3 and 5 in one batch; every valid state feeds the loss
+        cell = _seeded_lstm(input_dim=2, hidden_dim=3, seed=51)
+        lengths = [1, 3, 5]
+        rng = Rng(52)
+        x = Parameter("x", np.nan_to_num(_ragged_batch(rng, lengths, 2)))
+        head_w = Parameter("head.W", glorot(rng, 3, 3))
+        head_b = Parameter("head.b", rng.normal(3, 0.1))
+        rows = np.repeat(np.arange(3), lengths)
+        cols = np.concatenate([np.arange(n) for n in lengths])
+        gold = [k % 3 for k in range(len(rows))]
+
+        def loss_fn(tape):
+            states = take(tape, rnn_seq(cell, x, lengths, reverse, tape), (rows, cols))
+            return _head_loss(tape, states, head_w, head_b, gold)
+
+        params = cell.parameters() + [head_w, head_b, x]
+        assert gradient_check(loss_fn, params, h=1e-5) < 1e-4
+
+    def test_ragged_elman_and_birnn_seq_gradient_check(self):
+        cf = SimpleRnnCell("f", 2, 3, Rng(71))
+        cr = SimpleRnnCell("r", 2, 3, Rng(72))
+        lengths = [2, 4, 1]
+        rng = Rng(73)
+        x = Parameter("x", np.nan_to_num(_ragged_batch(rng, lengths, 2)))
+        head_w = Parameter("head.W", glorot(rng, 2, 6))
+        head_b = Parameter("head.b", np.zeros(2))
+
+        def loss_fn(tape):
+            return _head_loss(tape, birnn_seq(cf, cr, x, lengths, tape), head_w, head_b, [0, 1, 1])
+
+        params = cf.parameters() + cr.parameters() + [head_w, head_b, x]
         assert gradient_check(loss_fn, params, h=1e-5) < 1e-4
 
     def test_taped_and_untaped_values_agree(self):
         cell = _seeded_lstm()
-        rng = Rng(51)
-        xs = [rng.normal(3) for _ in range(4)]
-        plain = birnn_seq(cell, cell, xs)
-        taped = birnn_seq(cell, cell, xs, Tape())
+        lengths = [4, 2]
+        x = _ragged_batch(Rng(51), lengths, 3)
+        plain = birnn_seq(cell, cell, x, lengths)
+        taped = birnn_seq(cell, cell, x, lengths, Tape())
         np.testing.assert_array_equal(plain.v, taped.v)
+
+    def test_one_node_per_direction(self):
+        cell = _seeded_lstm()
+        tape = Tape()
+        loss = softmax_xent(tape, birnn_ctx(cell, cell, Rng(5).normal(30).reshape(10, 3), tape), [0] * 10)
+        loss = add(tape, loss, loss)
+        assert tape.kinds.count("lstm_seq") == 2
+        assert len(tape) == 3 + 2 + 3  # leaves, two runs, concat + xent + add

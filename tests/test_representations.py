@@ -1,9 +1,11 @@
-"""Vocabulary building, subtoken composition, pretrained embedding loading."""
+"""Vocabulary building, sentence encoding, pretrained embedding loading."""
 
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtag.autodiff import Rng
 from seqtag.corpus import Corpus, DataError, Sentence
@@ -15,11 +17,11 @@ from seqtag.representations import (
     ReprConfig,
     TokenEncoder,
     build_vocab,
-    compose_subtoken,
     load_pretrained,
+    subtoken_batch,
     subtoken_ids,
-    token_repr,
 )
+from test_recurrent import reference_states
 
 
 def _corpus(sents, tags=None):
@@ -80,18 +82,51 @@ class TestSubtokenIds:
         with pytest.raises(ValueError):
             subtoken_ids("", "char", vocab)
 
+    def test_batch_pads_with_the_end_marker(self, vocab):
+        ids, lengths = subtoken_batch(["dog", "d"], "char", vocab)
+        assert lengths.tolist() == [5, 3]
+        assert ids[0].tolist() == subtoken_ids("dog", "char", vocab)
+        assert ids[1].tolist() == subtoken_ids("d", "char", vocab) + [CHAR_END, CHAR_END]
+
+
+def reference_subword(enc, word, level):
+    """Per-step numpy bi-LSTM over one word's symbols: [forward final, reverse final]."""
+    table, cell_f, cell_r = (
+        (enc.char_table, enc.char_f, enc.char_r) if level == "char" else (enc.byte_table, enc.byte_f, enc.byte_r)
+    )
+    xs = table.v[subtoken_ids(word, level, enc.vocab)]
+    return np.concatenate([reference_states(cell_f, xs)[-1], reference_states(cell_r, xs[::-1])[-1]])
+
 
 class TestComposition:
     def test_identical_words_identical_vectors(self, vocab):
         enc = TokenEncoder(ReprConfig("c"), vocab, 8, 4, 3, Rng(1))
-        a = compose_subtoken("dog", "char", enc.char_f, enc.char_r, enc.char_table, vocab)
-        b = compose_subtoken("dog", "char", enc.char_f, enc.char_r, enc.char_table, vocab)
-        np.testing.assert_array_equal(a.v, b.v)
+        out = enc.encode(["dog", "cat", "dog"]).v
+        # batches of other sizes may round differently in BLAS
+        np.testing.assert_allclose(out[0], out[2], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out[0], enc.encode(["dog"]).v[0], rtol=0, atol=1e-15)
 
     def test_output_dimension_is_twice_hidden(self, vocab):
+        enc = TokenEncoder(ReprConfig("c"), vocab, 8, 4, 3, Rng(1))
+        assert enc.encode(["dog"]).v.shape == (1, 6)
+        assert enc.encode(["dog", "a", "the"]).v.shape == (3, 6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        words=st.lists(
+            st.text(alphabet="abcdeé中ßxyz-'🙂", min_size=1, max_size=9), min_size=1, max_size=7
+        )
+    )
+    def test_rows_equal_single_words_and_the_per_step_reference(self, words):
+        # a padded batch of ragged words gives each word its own encoding
+        vocab = build_vocab(_corpus([["the", "dog"], ["a", "cat", "dé"]]))
         enc = TokenEncoder(ReprConfig("c+b"), vocab, 8, 4, 3, Rng(1))
-        c = compose_subtoken("dog", "char", enc.char_f, enc.char_r, enc.char_table, vocab)
-        assert c.v.shape == (6,)
+        out = enc.encode(words).v
+        assert out.shape == (len(words), 12)
+        for k, word in enumerate(words):
+            np.testing.assert_allclose(out[k], enc.encode([word]).v[0], rtol=0, atol=1e-12)
+            want = np.concatenate([reference_subword(enc, word, "char"), reference_subword(enc, word, "byte")])
+            np.testing.assert_allclose(out[k], want, rtol=0, atol=1e-12)
 
 
 class TestTokenRepr:
@@ -101,7 +136,7 @@ class TestTokenRepr:
     def test_mode_dimensions(self, vocab, mode, dim):
         enc = TokenEncoder(ReprConfig(mode), vocab, 8, 4, 3, Rng(1))
         assert enc.out_dim == dim
-        assert token_repr("dog", enc).v.shape == (dim,)
+        assert enc.encode(["dog", "a"]).v.shape == (2, dim)
 
     def test_paper_default_dimensions(self):
         cfg = ReprConfig("w+c")
@@ -110,20 +145,20 @@ class TestTokenRepr:
 
     def test_mode_w_unseen_word_is_unk_row(self, vocab):
         enc = TokenEncoder(ReprConfig("w"), vocab, 8, 4, 3, Rng(1))
-        np.testing.assert_array_equal(token_repr("zebra", enc).v, enc.word_table.v[0])
+        np.testing.assert_array_equal(enc.encode(["zebra"]).v[0], enc.word_table.v[0])
 
     def test_mode_c_unseen_words_vary_with_spelling(self, vocab):
         enc = TokenEncoder(ReprConfig("c"), vocab, 8, 4, 3, Rng(1))
-        a = token_repr("goat", enc).v
-        b = token_repr("gnat", enc).v
+        a, b = enc.encode(["goat", "gnat"]).v
         assert not np.array_equal(a, b)
 
     def test_unk_routing_only_touches_word_part(self, vocab):
         enc = TokenEncoder(ReprConfig("w+c"), vocab, 8, 4, 3, Rng(1))
-        plain = token_repr("dog", enc).v
-        routed = token_repr("dog", enc, replace_unk=True).v
-        np.testing.assert_array_equal(routed[:8], enc.word_table.v[0])
-        np.testing.assert_array_equal(routed[8:], plain[8:])
+        plain = enc.encode(["dog", "cat"]).v
+        routed = enc.encode(["dog", "cat"], replace_unk=[True, False]).v
+        np.testing.assert_array_equal(routed[0, :8], enc.word_table.v[0])
+        np.testing.assert_array_equal(routed[0, 8:], plain[0, 8:])
+        np.testing.assert_array_equal(routed[1], plain[1])
 
 
 class TestLoadPretrained:

@@ -129,6 +129,34 @@ class TestFullModelGradient:
 
         assert gradient_check(loss_fn, model.parameters(), h=1e-5) < 1e-4
 
+    def test_gradient_check_char_byte_sentence(self):
+        # both subword encoders, no word table, no aux head, noise disabled
+        corpus = _toy_corpus()
+        vocab = build_vocab(corpus)
+        tagset = sorted({t for s in corpus for t in s.tags})
+        from seqtag.autodiff import Rng, gradient_check
+
+        hp = _small_hp(repr_mode="c+b", freqbin=False, subtoken_dim=2, hidden_dim=2, sigma=0.0)
+        model = TaggerModel(hp, vocab, tagset, 1, init_rng=Rng(9))
+        sent = Sentence(["a", "dogs", "bark"], ["DET", "NOUN", "VERB"])
+
+        def loss_fn(tape):
+            return sentence_loss(model, sent, tape)
+
+        assert gradient_check(loss_fn, model.parameters(), h=1e-5) < 1e-4
+
+    def test_sentence_records_a_fixed_number_of_nodes(self):
+        # one tape node per layer and direction, whatever the sentence length
+        from seqtag.autodiff import Rng, Tape
+
+        model = train(_toy_corpus(), _small_hp(epochs=1))
+        sizes = []
+        for forms in (["dog"], ["the", "big", "dog", "barks"] * 4):
+            tape = Tape()
+            sentence_loss(model, Sentence(forms, ["NOUN"] * len(forms)), tape, Rng(1), training=True)
+            sizes.append(len(tape))
+        assert sizes[0] == sizes[1] < 40
+
 
 class TestTraining:
     def test_overfits_toy_corpus(self):
@@ -210,8 +238,9 @@ class TestPredict:
 
         plain = forward_sentence(model, ["the", "dog"])
         taped = forward_sentence(model, ["the", "dog"], tape=Tape())
-        for a, b in zip(plain, taped):
-            np.testing.assert_array_equal(a.tag_logits.v, b.tag_logits.v)
+        assert plain.tag_logits.v.shape == (2, len(model.tagset))
+        np.testing.assert_array_equal(plain.tag_logits.v, taped.tag_logits.v)
+        np.testing.assert_array_equal(plain.freq_logits.v, taped.freq_logits.v)
 
 
 class TestPersistence:
@@ -252,3 +281,37 @@ class TestPersistence:
         path.write_bytes(b"garbage" * 20)
         with pytest.raises(ModelError, match="magic"):
             load(str(path))
+
+
+class TestBadHeader:
+    """A container whose checksum holds but whose header is wrong."""
+
+    def _rewrite(self, tmp_path, edit):
+        from seqtag.container import load_container, save_container
+
+        path = tmp_path / "model.bin"
+        save(train(_toy_corpus(), _small_hp(epochs=1)), str(path))
+        header, arrays = load_container(str(path))
+        edit(header)
+        save_container(str(path), header, list(arrays.items()))
+        return str(path)
+
+    def test_unknown_hp_key(self, tmp_path):
+        from seqtag.container import ModelError
+
+        path = self._rewrite(tmp_path, lambda h: h["hp"].update(dropout=0.5))
+        with pytest.raises(ModelError, match="'hp'.*dropout") as err:
+            load(path)
+        assert path in str(err.value)
+
+    def test_missing_vocab(self, tmp_path):
+        from seqtag.container import ModelError
+
+        path = self._rewrite(tmp_path, lambda h: h.pop("vocab"))
+        with pytest.raises(ModelError, match="vocab") as err:
+            load(path)
+        assert path in str(err.value)
+
+    def test_untouched_header_still_loads(self, tmp_path):
+        path = self._rewrite(tmp_path, lambda h: None)
+        assert load(path).predict(["the", "dog"])

@@ -8,7 +8,7 @@ import pytest
 from seqtag.autodiff import Rng
 from seqtag.corpus import Corpus, Sentence
 from seqtag.synthetic import make_suffix_corpus
-from seqtag.tnt import BOUNDARY, TrigramModel, load_hmm, save_hmm, train_hmm, viterbi
+from seqtag.tnt import BOUNDARY, SuffixTrie, TrigramModel, load_hmm, save_hmm, train_hmm, viterbi
 
 
 def brute_force_viterbi(model, tokens):
@@ -161,6 +161,19 @@ class TestEmission:
         upper = {t: model.emission("Runnings", t) for t in model.tagset}
         assert lower != upper
 
+    def test_emission_row_equals_scalar_calls(self):
+        # known, OOV lower-case and capitalised words, and a model without tries
+        train_c, test_c = make_suffix_corpus(120, 30, seed=4)
+        model = train_hmm(train_c)
+        words = [w for s in test_c for w in s.forms] + ["Zzzqing", "零零", "x"]
+        assert any(w not in model.emit for w in words) and any(w in model.emit for w in words)
+        no_tries = train_hmm(Corpus([Sentence(["common"] * 11, ["C"] * 11), Sentence(["a", "b"], ["A", "B"])]))
+        no_tries.trie_upper = no_tries.trie_lower = SuffixTrie({}, 0.0, 10)
+        for m, ws in ((model, words), (no_tries, ["novel", "Novel", "a"])):
+            for w in ws:
+                row = m.emission_logps(w)
+                assert row.tolist() == [m.emission_logp(w, t) for t in m.tagset], w
+
     def test_suffix_node_distributions_sum_to_one(self):
         train_c, _ = make_suffix_corpus(120, 10, seed=4)
         model = train_hmm(train_c)
@@ -214,3 +227,15 @@ class TestPersistence:
         save_bilstm(train_bilstm(corpus, hp), str(path))
         with pytest.raises(ModelError, match="tnt"):
             load_hmm(str(path))
+
+    def test_header_without_counts_is_a_model_error(self, tmp_path):
+        from seqtag.container import ModelError, load_container, save_container
+
+        path = tmp_path / "tnt.bin"
+        save_hmm(train_hmm(Corpus([Sentence(["a", "b"], ["X", "Y"])])), str(path))
+        header, _ = load_container(str(path))
+        del header["n_tokens"]
+        save_container(str(path), header, [])  # valid checksum, bad header
+        with pytest.raises(ModelError, match="n_tokens") as err:
+            load_hmm(str(path))
+        assert str(path) in str(err.value)

@@ -353,7 +353,7 @@ def affine(tape, w, x, b):
     if w.v.ndim != 2 or x.v.ndim not in (1, 2) or w.v.shape[1] != x.v.shape[-1] \
             or b.v.shape != (w.v.shape[0],):
         raise ValueError(f"affine: bad shapes {w.v.shape}, {x.v.shape}, {b.v.shape}")
-    out = w.v @ x.v + b.v if x.v.ndim == 1 else x.v @ w.v.T + b.v
+    out = x.v @ w.v.T + b.v
     if tape is None:
         return Tensor(out)
     return tape.record("affine", (w.node, x.node, b.node), out, (w.v, x.v))
@@ -457,17 +457,13 @@ def lookup_row(tape, table, i):
     out = tv[i].copy()
     if tape is None:
         return Tensor(out)
-    return tape.record("lookup", (table.node,), out, i)
+    return tape.record("lookup", (table.node,), out, ids)
 
 
 def _bw_lookup(tape, i, g):
     parent = tape.parents[i][0]
     if parent is not None:
-        ids = tape.aux[i]
-        if isinstance(ids, np.ndarray):
-            tape.sbuf(parent).add_rows(ids, g)
-        else:
-            tape.sbuf(parent).add(ids, g)
+        tape.sbuf(parent).add_rows(tape.aux[i], g)
 
 
 def softmax_xent(tape, logits, gold):

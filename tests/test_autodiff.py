@@ -127,6 +127,18 @@ class TestBackward:
         assert dense.shape == (4, 3)
         assert np.all(dense[0] == 0) and np.all(dense[3] == 0)
 
+    def test_lookup_of_an_id_list_accumulates_repeats(self):
+        tape = Tape()
+        table = Parameter("emb", np.zeros((4, 2)))
+        rows = lookup_row(tape, table, [2, 0, 2])
+        assert rows.v.shape == (3, 2)
+        loss = softmax_xent(tape, rows, [0, 1, 0])
+        tape.backward(loss)
+        g = tape.grad(table)
+        assert set(g.rows) == {0, 2}
+        np.testing.assert_allclose(g.to_dense()[2], [-1.0, 1.0])
+        np.testing.assert_allclose(g.to_dense()[0], [0.5, -0.5])
+
     def test_tape_isolation_untaped_matches_taped(self):
         # identical values with and without recording, noise disabled
         rng = Rng(3)

@@ -17,94 +17,7 @@ from seqtag.autodiff import (
 )
 from seqtag.recurrent import LstmCell, SimpleRnnCell, birnn_ctx, birnn_seq, rnn_seq
 
-
-def _sig(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _gate(mat, k, hdim):
-    """Block k of a stacked [i, f, g, o] gate parameter."""
-    return mat[k * hdim : (k + 1) * hdim]
-
-
-def reference_lstm_step(cell, x, h, c):
-    """Gate-by-gate evaluation, independent of the fused implementation."""
-    hd = cell.hidden_dim
-    wx, wh, b = cell.W_x.v, cell.W_h.v, cell.b.v
-    i = _sig(_gate(wx, 0, hd) @ x + _gate(wh, 0, hd) @ h + _gate(b, 0, hd))
-    f = _sig(_gate(wx, 1, hd) @ x + _gate(wh, 1, hd) @ h + _gate(b, 1, hd))
-    g = np.tanh(_gate(wx, 2, hd) @ x + _gate(wh, 2, hd) @ h + _gate(b, 2, hd))
-    o = _sig(_gate(wx, 3, hd) @ x + _gate(wh, 3, hd) @ h + _gate(b, 3, hd))
-    c2 = f * c + i * g
-    h2 = o * np.tanh(c2)
-    return h2, c2
-
-
-def reference_rnn_step(cell, x, h):
-    return np.tanh(cell.W_x.v @ x + cell.W_h.v @ h + cell.b.v)
-
-
-def reference_states(cell, xs):
-    """Hidden states after each step of consuming xs in order, from zero."""
-    h = np.zeros(cell.hidden_dim)
-    c = np.zeros(cell.hidden_dim)
-    out = []
-    for x in xs:
-        if cell.kind == "lstm":
-            h, c = reference_lstm_step(cell, x, h, c)
-        else:
-            h = reference_rnn_step(cell, x, h)
-        out.append(h)
-    return out
-
-
-def reference_grads(cell, xs, dhs):
-    """Per-step backpropagation through time, one np.outer per weight per step.
-
-    dhs[t] is the loss gradient reaching the state after step t directly.
-    Returns (dW_x, dW_h, db, [dx_t]).
-    """
-    hd = cell.hidden_dim
-    wx, wh = cell.W_x.v, cell.W_h.v
-    steps = []
-    h = np.zeros(hd)
-    c = np.zeros(hd)
-    for x in xs:
-        a = wx @ x + wh @ h + cell.b.v
-        if cell.kind == "lstm":
-            i, f, g, o = _sig(a[:hd]), _sig(a[hd : 2 * hd]), np.tanh(a[2 * hd : 3 * hd]), _sig(a[3 * hd :])
-            c2 = f * c + i * g
-            steps.append((x, h, c, i, f, g, o, np.tanh(c2)))
-            h, c = o * np.tanh(c2), c2
-        else:
-            h2 = np.tanh(a)
-            steps.append((x, h, h2))
-            h = h2
-    dwx, dwh, db = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(cell.b.v)
-    dxs = [None] * len(xs)
-    dh_next = np.zeros(hd)
-    dc_next = np.zeros(hd)
-    for t in range(len(xs) - 1, -1, -1):
-        dh = dhs[t] + dh_next
-        if cell.kind == "lstm":
-            x, h_prev, c_prev, i, f, g, o, tc = steps[t]
-            dc = dh * o * (1.0 - tc * tc) + dc_next
-            da = np.concatenate([
-                dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
-                dc * i * (1.0 - g * g),
-                dh * tc * o * (1.0 - o),
-            ])
-            dc_next = dc * f
-        else:
-            x, h_prev, h2 = steps[t]
-            da = dh * (1.0 - h2 * h2)
-        dwx += np.outer(da, x)
-        dwh += np.outer(da, h_prev)
-        db += da
-        dxs[t] = wx.T @ da
-        dh_next = wh.T @ da
-    return dwx, dwh, db, dxs
+from reference import gate, reference_grads, reference_lstm_step, reference_rnn_step, reference_states
 
 
 def _seeded_lstm(name="lstm", input_dim=3, hidden_dim=4, seed=17):
@@ -158,8 +71,8 @@ class TestCellStep:
         cell = _seeded_lstm(input_dim=3, hidden_dim=4)
         assert cell.W_x.v.shape == (16, 3) and cell.W_h.v.shape == (16, 4)
         assert cell.b.v.shape == (16,)
-        assert _gate(cell.W_x.v, 0, 4).shape == (4, 3) and _gate(cell.W_h.v, 0, 4).shape == (4, 4)
-        assert _gate(cell.b.v, 1, 4).shape == (4,)
+        assert gate(cell.W_x.v, 0, 4).shape == (4, 3) and gate(cell.W_h.v, 0, 4).shape == (4, 4)
+        assert gate(cell.b.v, 1, 4).shape == (4,)
 
 
 class TestRun:

@@ -21,7 +21,7 @@ from seqtag.representations import (
     subtoken_batch,
     subtoken_ids,
 )
-from test_recurrent import reference_states
+from reference import reference_states
 
 
 def _corpus(sents, tags=None):
@@ -101,8 +101,10 @@ def reference_subword(enc, word, level):
 class TestComposition:
     def test_identical_words_identical_vectors(self, vocab):
         enc = TokenEncoder(ReprConfig("c"), vocab, 8, 4, 3, Rng(1))
-        out = enc.encode(["dog", "cat", "dog"]).v
-        # batches of other sizes may round differently in BLAS
+        words = ["dog", "cat", "dog"]
+        np.testing.assert_array_equal(enc.encode(words).v, enc.encode(words).v)
+        out = enc.encode(words).v
+        # rows of one batch, or batches of other sizes, may round differently in BLAS
         np.testing.assert_allclose(out[0], out[2], rtol=0, atol=1e-15)
         np.testing.assert_allclose(out[0], enc.encode(["dog"]).v[0], rtol=0, atol=1e-15)
 

@@ -1,11 +1,22 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The engine is deliberately small: a flat operation tape and exactly the
-primitives the taggers need.  The ops that carry a sentence (lookup,
-concat, affine, noise, softmax_xent) take either one vector or a matrix
-with one row per token, so a sentence records a few nodes, not a few per
-token.  Everything runs in 64-bit floats so gradient checks are limited by
-truncation error, not precision.
+node kinds the taggers record.  Besides parameter leaves there are nine:
+
+  add       elementwise sum (the joint tag + frequency loss)
+  affine    x W^T + b (the tag and frequency heads)
+  concat    join along the last axis (word o char o byte, forward o reverse)
+  take      copy of x[index] (final states of the subword bi-LSTMs)
+  lookup    embedding-table rows, with a sparse row gradient
+  xent      summed softmax cross-entropy, one gold class per row
+  noise     additive Gaussian noise, identity gradient
+  lstm_seq, simple_rnn_seq
+            a whole LSTM or Elman run over a padded batch (recurrent.py)
+
+The ops that carry a sentence take a matrix with one row per token, so a
+sentence records a few nodes, not a few per token.  Everything runs in
+64-bit floats so gradient checks are limited by truncation error, not
+precision.
 
 Gradients for a table parameter accessed through ``lookup_row`` are kept as
 sparse per-row updates (see :class:`SparseRows`); all other gradients are
@@ -102,9 +113,6 @@ class Rng:
         out = sigma * out[:, :width]
         return out[0] if np.ndim(n) == 0 else out
 
-    def gauss(self, sigma=1.0):
-        return float(self.normal(1, sigma)[0])
-
     def child(self, tag):
         """Independent derived stream; depends only on (seed, tag)."""
         return Rng(_mix64((self._seed + (tag + 1) * _GAMMA) & _MASK64))
@@ -119,38 +127,27 @@ class Tensor:
         self.v = value
         self.node = node
 
-    @property
-    def shape(self):
-        return self.v.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.v.shape}, node={self.node})"
 
 
-def as_tensor(x):
+def wrap(tape, x):
+    """Tensor view of x; Parameters become (cached) leaf nodes on the tape."""
     if isinstance(x, Tensor):
         return x
     if isinstance(x, Parameter):
-        return Tensor(x.v)
+        return Tensor(x.v) if tape is None else tape.leaf(x)
     return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def wrap(tape, x):
-    """Tensor view of x; Parameters become (cached) leaf nodes on the tape."""
-    if isinstance(x, Parameter) and tape is not None:
-        return tape.leaf(x)
-    return as_tensor(x)
 
 
 class Parameter:
     """A named trainable array."""
 
-    __slots__ = ("name", "v", "trainable")
+    __slots__ = ("name", "v")
 
-    def __init__(self, name, value, trainable=True):
+    def __init__(self, name, value):
         self.name = name
         self.v = np.asarray(value, dtype=np.float64)
-        self.trainable = trainable
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.v.shape})"
@@ -278,14 +275,13 @@ class Tape:
         return self.grads[node]
 
     def gradients(self, params):
-        """name -> gradient map; raises if a trainable parameter has none."""
+        """name -> gradient map; raises if a parameter has none."""
         out = {}
         for p in params:
             g = self.grad(p)
-            if g is None and p.trainable:
+            if g is None:
                 raise ValueError(f"no gradient for trainable parameter {p.name!r}")
-            if g is not None:
-                out[p.name] = g
+            out[p.name] = g
         return out
 
 
@@ -306,45 +302,6 @@ def _bw_add(tape, i, g):
     pa, pb = tape.parents[i]
     tape.acc(pa, g)
     tape.acc(pb, g)
-
-
-def pointwise_mul(tape, a, b):
-    a, b = wrap(tape, a), wrap(tape, b)
-    if a.v.shape != b.v.shape:
-        raise ValueError(f"pointwise_mul: shape mismatch {a.v.shape} vs {b.v.shape}")
-    out = a.v * b.v
-    if tape is None:
-        return Tensor(out)
-    return tape.record("mul", (a.node, b.node), out, (a.v, b.v))
-
-
-def _bw_mul(tape, i, g):
-    pa, pb = tape.parents[i]
-    av, bv = tape.aux[i]
-    tape.acc(pa, g * bv)
-    tape.acc(pb, g * av)
-
-
-def matvec(tape, w, x):
-    w, x = wrap(tape, w), wrap(tape, x)
-    if w.v.ndim != 2 or x.v.ndim != 1 or w.v.shape[1] != x.v.shape[0]:
-        raise ValueError(f"matvec: bad shapes {w.v.shape} @ {x.v.shape}")
-    out = w.v @ x.v
-    if tape is None:
-        return Tensor(out)
-    return tape.record("matvec", (w.node, x.node), out, (w.v, x.v))
-
-
-def _bw_matvec(tape, i, g):
-    pw, px = tape.parents[i]
-    wv, xv = tape.aux[i]
-    if pw is not None:
-        tape.gbuf(pw)
-        tape.grads[pw] += np.outer(g, xv)
-    if px is not None:
-        tape.gbuf(px)
-        tape.grads[px] += wv.T @ g
-    # (sparse tables are never used as matvec operands)
 
 
 def affine(tape, w, x, b):
@@ -408,42 +365,6 @@ def _bw_take(tape, i, g):
     parent = tape.parents[i][0]
     if parent is not None:
         np.add.at(tape.gbuf(parent), tape.aux[i], g)
-
-
-def tanh(tape, x):
-    x = wrap(tape, x)
-    out = np.tanh(x.v)
-    if tape is None:
-        return Tensor(out)
-    return tape.record("tanh", (x.node,), out)
-
-
-def _bw_tanh(tape, i, g):
-    y = tape.values[i]
-    tape.acc(tape.parents[i][0], g * (1.0 - y * y))
-
-
-def _sigmoid(x):
-    # numerically stable split on the sign of x
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def logistic(tape, x):
-    x = wrap(tape, x)
-    out = _sigmoid(x.v)
-    if tape is None:
-        return Tensor(out)
-    return tape.record("logistic", (x.node,), out)
-
-
-def _bw_logistic(tape, i, g):
-    y = tape.values[i]
-    tape.acc(tape.parents[i][0], g * y * (1.0 - y))
 
 
 def lookup_row(tape, table, i):
@@ -523,71 +444,26 @@ def _bw_noise(tape, i, g):
 BACKWARD.update(
     {
         "add": _bw_add,
-        "mul": _bw_mul,
-        "matvec": _bw_matvec,
         "affine": _bw_affine,
         "concat": _bw_concat,
         "take": _bw_take,
-        "tanh": _bw_tanh,
-        "logistic": _bw_logistic,
         "lookup": _bw_lookup,
         "xent": _bw_xent,
         "noise": _bw_noise,
     }
 )
 
-_DISPATCH = {
-    "add": add,
-    "pointwise_mul": pointwise_mul,
-    "matvec": matvec,
-    "affine": affine,
-    "concat": concat,
-    "tanh": tanh,
-    "logistic": logistic,
-    "lookup_row": lookup_row,
-    "softmax_xent": softmax_xent,
-    "gaussian_noise": gaussian_noise,
-}
-
-
-def primitive_forward(tape, kind, *inputs, **kw):
-    """Validated dispatcher over the primitive set.
-
-    Rejects unknown kinds and non-finite tensor inputs; the named op
-    functions skip the finiteness scan for speed (training instead guards
-    the loss, see tagger.train).
-    """
-    try:
-        fn = _DISPATCH[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive kind {kind!r}") from None
-    for x in inputs:
-        if isinstance(x, (Tensor, Parameter, np.ndarray, list, tuple)) and not isinstance(x, str):
-            arr = x.v if isinstance(x, (Tensor, Parameter)) else np.asarray(x, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite input to {kind}")
-    if kind == "concat":
-        return fn(tape, inputs[0] if len(inputs) == 1 else list(inputs), **kw)
-    return fn(tape, *inputs, **kw)
-
-
-def backward(tape, loss):
-    """Module-level alias for Tape.backward."""
-    tape.backward(loss)
-
 
 # optimizer ------------------------------------------------------------------
 
 
 def sgd_step(params, grads, lr):
-    """p <- p - lr * grad(p) for every trainable parameter; clears `grads`.
+    """p <- p - lr * grad(p) for every parameter; clears `grads`.
 
     `grads` maps parameter name to a dense array or SparseRows, as produced
     by Tape.gradients().
     """
     for p in params:
-        if not p.trainable:
-            continue
         if p.name not in grads:
             raise ValueError(f"no gradient for trainable parameter {p.name!r}")
         g = grads[p.name]
@@ -600,7 +476,10 @@ def sgd_step(params, grads, lr):
 
 
 def glorot(rng, fan_out, fan_in):
-    """Glorot-uniform matrix of shape (fan_out, fan_in)."""
+    """Glorot-uniform matrix of shape (fan_out, fan_in); zeros when rng is
+    None, for a model whose weights are about to be loaded."""
+    if rng is None:
+        return np.zeros((fan_out, fan_in))
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     u = rng.uniform_array(fan_out * fan_in)
     return (limit * (2.0 * u - 1.0)).reshape(fan_out, fan_in)

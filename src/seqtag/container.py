@@ -60,23 +60,35 @@ def load_container(path):
         header = json.loads(body[16 : 16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ModelError(f"{path}: bad header: {e}") from e
+    if not isinstance(header, dict):
+        raise ModelError(f"{path}: header is a JSON {type(header).__name__}, not an object")
     offset = 16 + hlen
     arrays = {}
-    for spec in header.get("arrays", []):
-        shape = tuple(spec["shape"])
+    for name, shape in header_field(path, header, "arrays", _manifest):
         nbytes = 8 * int(np.prod(shape)) if shape else 8
         chunk = body[offset : offset + nbytes]
         if len(chunk) < nbytes:
-            raise ModelError(f"{path}: truncated array block {spec['name']!r}")
-        arrays[spec["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+            raise ModelError(f"{path}: truncated array block {name!r}")
+        arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
         offset += nbytes
     if offset != len(body):
         raise ModelError(f"{path}: {len(body) - offset} unexpected trailing bytes")
     return header, arrays
 
 
-def header_field(path, header, name, decode=None):
-    """header[name], passed through decode when given.
+def _manifest(specs):
+    """[(name, shape)] of the header's array list."""
+    out = []
+    for spec in specs:
+        shape = tuple(int(n) for n in spec["shape"])
+        if min(shape, default=0) < 0:
+            raise ValueError(f"negative dimension in shape {list(shape)}")
+        out.append((str(spec["name"]), shape))
+    return out
+
+
+def header_field(path, header, name, decode):
+    """decode(header[name]).
 
     A missing field, or one that decode rejects, raises ModelError naming the
     file and the field: a checksum only proves the header is what was
@@ -84,8 +96,6 @@ def header_field(path, header, name, decode=None):
     """
     if name not in header:
         raise ModelError(f"{path}: header has no {name!r} field")
-    if decode is None:
-        return header[name]
     try:
         return decode(header[name])
     except (KeyError, TypeError, ValueError, AttributeError) as e:

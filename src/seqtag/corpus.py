@@ -3,13 +3,15 @@
 Only FORM (column 2) and UPOS (column 4) are consumed; multiword-token
 range lines (ID like "3-4") and empty nodes (ID like "5.1") are skipped so
 sentences contain syntactic words only.  A two-column "form<TAB>tag" reader
-is provided for WSJ-style data.  All files are UTF-8.
+is provided for WSJ-style data.  All files are UTF-8; a line that is not
+raises DataError naming it.
 """
 
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 log = logging.getLogger(__name__)
 
@@ -60,42 +62,65 @@ class Corpus:
         return sorted({t for s in self.sentences for t in s.tags})
 
 
-def read_conllu(path, split="train", language=""):
-    """Parse a CoNLL-U file into a Corpus; errors carry line numbers."""
-    sentences = []
-    forms, tags = [], []
-    start_line = None
+def open_text(path):
+    """A UTF-8 text file opened for reading; DataError when it cannot be."""
     try:
-        fh = open(path, encoding="utf-8")
+        return open(path, encoding="utf-8")
     except OSError as e:
         raise DataError(f"{path}: {e}") from e
-    with fh:
+
+
+def not_utf8(path):
+    """DataError naming the first line of path that is not valid UTF-8.
+
+    A newline byte never occurs inside a UTF-8 sequence, so decoding line by
+    line finds the same fault as decoding the whole file.
+    """
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if line.startswith("#"):
-                continue
-            if not line:
-                if forms:
-                    sentences.append(
-                        Sentence(forms, tags, f"{path}:{start_line}-{lineno - 1}")
-                    )
-                    forms, tags = [], []
-                    start_line = None
-                continue
-            cols = line.split("\t")
-            if len(cols) != 10:
-                raise DataError(f"{path}:{lineno}: expected 10 columns, got {len(cols)}")
-            if "-" in cols[0] or "." in cols[0]:
-                continue  # multiword range / empty node
-            if cols[1] == "":
-                raise DataError(f"{path}:{lineno}: empty FORM")
-            if start_line is None:
-                start_line = lineno
-            forms.append(cols[1])
-            tags.append(cols[3])
-        if forms:
-            sentences.append(Sentence(forms, tags, f"{path}:{start_line}-"))
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return DataError(f"{path}:{lineno}: not UTF-8: {e}")
+    return DataError(f"{path}: not UTF-8")
+
+
+def _read_columns(path, n_cols, form_col, tag_col, conllu, split, language):
+    """One token per line in n_cols tab-separated columns, a blank line after
+    each sentence.  With conllu, comment lines, multiword-token ranges and
+    empty nodes are skipped."""
+    sentences, forms, tags = [], [], []
+    with open_text(path) as fh:
+        try:
+            # the extra blank line ends a last sentence that has none
+            for lineno, raw in enumerate(chain(fh, [""]), 1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line:
+                    if forms:
+                        sentences.append(Sentence(forms, tags, f"{path}:{start_line}-{lineno - 1}"))
+                        forms, tags = [], []
+                    continue
+                if conllu and line[0] == "#":
+                    continue
+                cols = line.split("\t")
+                if len(cols) != n_cols:
+                    raise DataError(f"{path}:{lineno}: expected {n_cols} columns, got {len(cols)}")
+                if conllu and ("-" in cols[0] or "." in cols[0]):
+                    continue  # multiword range / empty node
+                if cols[form_col] == "":
+                    raise DataError(f"{path}:{lineno}: empty FORM")
+                if not forms:
+                    start_line = lineno
+                forms.append(cols[form_col])
+                tags.append(cols[tag_col])
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return Corpus(sentences, split, language)
+
+
+def read_conllu(path, split="train", language=""):
+    """Parse a CoNLL-U file into a Corpus; errors carry line numbers."""
+    return _read_columns(path, 10, 1, 3, True, split, language)
 
 
 def write_conllu(corpus, path):
@@ -109,36 +134,7 @@ def write_conllu(corpus, path):
 
 def read_twocol(path, split="train", language=""):
     """Plain "form<TAB>tag" per line, blank line between sentences."""
-    sentences = []
-    forms, tags = [], []
-    start_line = None
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from e
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                if forms:
-                    sentences.append(
-                        Sentence(forms, tags, f"{path}:{start_line}-{lineno - 1}")
-                    )
-                    forms, tags = [], []
-                    start_line = None
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns, got {len(cols)}")
-            if cols[0] == "":
-                raise DataError(f"{path}:{lineno}: empty form")
-            if start_line is None:
-                start_line = lineno
-            forms.append(cols[0])
-            tags.append(cols[1])
-        if forms:
-            sentences.append(Sentence(forms, tags, f"{path}:{start_line}-"))
-    return Corpus(sentences, split, language)
+    return _read_columns(path, 2, 0, 1, False, split, language)
 
 
 def write_twocol(corpus, path):

@@ -41,49 +41,30 @@ import numpy as np
 from .autodiff import BACKWARD, Parameter, Tensor, concat, glorot, take, wrap
 
 
-class LstmCell:
-    kind = "lstm"
+class _Cell:
+    """Stacked gate weights of a recurrent cell; zeros without an rng."""
 
     def __init__(self, name, input_dim, hidden_dim, rng=None):
         self.name = name
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        h, d = hidden_dim, input_dim
-        if rng is None:
-            wx = np.zeros((4 * h, d))
-            wh = np.zeros((4 * h, h))
-        else:
-            wx = np.vstack([glorot(rng, h, d) for _ in range(4)])
-            wh = np.vstack([glorot(rng, h, h) for _ in range(4)])
-        self.W_x = Parameter(f"{name}.W_x", wx)
-        self.W_h = Parameter(f"{name}.W_h", wh)
-        self.b = Parameter(f"{name}.b", np.zeros(4 * h))
+        h, d, k = hidden_dim, input_dim, self.gates
+        self.W_x = Parameter(f"{name}.W_x", np.vstack([glorot(rng, h, d) for _ in range(k)]))
+        self.W_h = Parameter(f"{name}.W_h", np.vstack([glorot(rng, h, h) for _ in range(k)]))
+        self.b = Parameter(f"{name}.b", np.zeros(k * h))
 
     def parameters(self):
         return [self.W_x, self.W_h, self.b]
 
 
-class SimpleRnnCell:
+class LstmCell(_Cell):
+    kind, gates = "lstm", 4
+
+
+class SimpleRnnCell(_Cell):
     """Elman cell: h' = tanh(W_x x + W_h h + b)."""
 
-    kind = "simple_rnn"
-
-    def __init__(self, name, input_dim, hidden_dim, rng=None):
-        self.name = name
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        if rng is None:
-            wx = np.zeros((hidden_dim, input_dim))
-            wh = np.zeros((hidden_dim, hidden_dim))
-        else:
-            wx = glorot(rng, hidden_dim, input_dim)
-            wh = glorot(rng, hidden_dim, hidden_dim)
-        self.W_x = Parameter(f"{name}.W_x", wx)
-        self.W_h = Parameter(f"{name}.W_h", wh)
-        self.b = Parameter(f"{name}.b", np.zeros(hidden_dim))
-
-    def parameters(self):
-        return [self.W_x, self.W_h, self.b]
+    kind, gates = "simple_rnn", 1
 
 
 def _packing(lengths, steps, reverse):

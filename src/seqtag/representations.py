@@ -26,7 +26,7 @@ from collections import Counter
 import numpy as np
 
 from .autodiff import Parameter, concat, glorot, lookup_row
-from .corpus import DataError
+from .corpus import DataError, not_utf8, open_text
 from .recurrent import LstmCell, birnn_seq
 
 log = logging.getLogger(__name__)
@@ -120,8 +120,7 @@ class EmbeddingTable(Parameter):
     """(|symbols| x dim) parameter matrix, one row per symbol id."""
 
     def __init__(self, name, n_symbols, dim, rng=None):
-        value = np.zeros((n_symbols, dim)) if rng is None else glorot(rng, n_symbols, dim)
-        super().__init__(name, value)
+        super().__init__(name, glorot(rng, n_symbols, dim))
 
     @property
     def dim(self):
@@ -129,35 +128,12 @@ class EmbeddingTable(Parameter):
 
 
 class ReprConfig:
-    """Representation mode and the output dimension it implies."""
+    """Representation mode: which of word, char and byte sources it uses."""
 
-    def __init__(self, mode, use_pretrained=False):
+    def __init__(self, mode):
         if mode not in REPR_MODES:
             raise ValueError(f"unknown representation mode {mode!r}")
         self.mode = mode
-        self.use_pretrained = use_pretrained
-
-    @property
-    def uses_word(self):
-        return "w" in self.mode
-
-    @property
-    def uses_char(self):
-        return "c" in self.mode
-
-    @property
-    def uses_byte(self):
-        return "b" in self.mode
-
-    def out_dim(self, word_dim, hidden_dim):
-        sub = 2 * hidden_dim
-        return {
-            "w": word_dim,
-            "c": sub,
-            "b": sub,
-            "c+b": 2 * sub,
-            "w+c": word_dim + sub,
-        }[self.mode]
 
 
 def subtoken_ids(word, level, vocab=None):
@@ -186,27 +162,29 @@ class TokenEncoder:
     """Bundles the tables and lower-level cells for one representation mode."""
 
     def __init__(self, config, vocab, word_dim, subtoken_dim, hidden_dim, rng=None):
-        self.config = config
         self.vocab = vocab
-        self.hidden_dim = hidden_dim
         self.word_table = None
         self.char_table = self.char_f = self.char_r = None
         self.byte_table = self.byte_f = self.byte_r = None
-        if config.uses_word:
+        if "w" in config.mode:
             self.word_table = EmbeddingTable("word_emb", vocab.n_words, word_dim, rng)
-        if config.uses_char:
+        if "c" in config.mode:
             self.char_table = EmbeddingTable("char_emb", vocab.n_chars, subtoken_dim, rng)
             self.char_f = LstmCell("char_f", subtoken_dim, hidden_dim, rng)
             self.char_r = LstmCell("char_r", subtoken_dim, hidden_dim, rng)
-        if config.uses_byte:
+        if "b" in config.mode:
             self.byte_table = EmbeddingTable("byte_emb", N_BYTE_SYMBOLS, subtoken_dim, rng)
             self.byte_f = LstmCell("byte_f", subtoken_dim, hidden_dim, rng)
             self.byte_r = LstmCell("byte_r", subtoken_dim, hidden_dim, rng)
 
     @property
     def out_dim(self):
-        word_dim = self.word_table.dim if self.word_table is not None else 0
-        return self.config.out_dim(word_dim, self.hidden_dim)
+        """Width of encode's rows: the word table's plus each subword cell's."""
+        dim = self.word_table.dim if self.word_table is not None else 0
+        for cell in (self.char_f, self.char_r, self.byte_f, self.byte_r):
+            if cell is not None:
+                dim += cell.hidden_dim
+        return dim
 
     def parameters(self):
         out = []
@@ -229,14 +207,14 @@ class TokenEncoder:
         if not words:
             raise ValueError("encode: empty sentence")
         parts = []
-        if self.config.uses_word:
+        if self.word_table is not None:
             ids = [0 if replace_unk and replace_unk[k] else self.vocab.word_id(w) for k, w in enumerate(words)]
             parts.append(lookup_row(tape, self.word_table, np.array(ids)))
-        if self.config.uses_char:
+        if self.char_table is not None:
             ids, lengths = subtoken_batch(words, "char", self.vocab)
             x = lookup_row(tape, self.char_table, ids)
             parts.append(birnn_seq(self.char_f, self.char_r, x, lengths, tape))
-        if self.config.uses_byte:
+        if self.byte_table is not None:
             ids, lengths = subtoken_batch(words, "byte")
             x = lookup_row(tape, self.byte_table, ids)
             parts.append(birnn_seq(self.byte_f, self.byte_r, x, lengths, tape))
@@ -255,32 +233,32 @@ def load_pretrained(path, vocab, word_table, allow_resize=False, rng=None):
     """
     rows = {}
     dim = None
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"{path}: {e}") from e
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split()
-            if len(cols) < 2:
-                raise DataError(f"{path}:{lineno}: expected token + floats")
-            token = cols[0]
-            try:
-                vec = np.array([float(x) for x in cols[1:]], dtype=np.float64)
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from e
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise DataError(
-                    f"{path}:{lineno}: row has {vec.shape[0]} dims, file started with {dim}"
-                )
-            if token in rows:
-                log.warning("%s:%d: duplicate embedding for %r, keeping last", path, lineno, token)
-            rows[token] = vec
+    with open_text(path) as fh:
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                cols = raw.split()
+                if not cols:
+                    continue
+                if len(cols) < 2:
+                    raise DataError(f"{path}:{lineno}: expected token + floats")
+                token = cols[0]
+                try:
+                    vec = np.array([float(x) for x in cols[1:]], dtype=np.float64)
+                except ValueError as e:
+                    raise DataError(f"{path}:{lineno}: {e}") from e
+                if not np.all(np.isfinite(vec)):
+                    raise DataError(f"{path}:{lineno}: non-finite value in the embedding of {token!r}")
+                if dim is None:
+                    dim = vec.shape[0]
+                elif vec.shape[0] != dim:
+                    raise DataError(
+                        f"{path}:{lineno}: row has {vec.shape[0]} dims, file started with {dim}"
+                    )
+                if token in rows:
+                    log.warning("%s:%d: duplicate embedding for %r, keeping last", path, lineno, token)
+                rows[token] = vec
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
 
     if dim is not None and dim != word_table.dim:
         if not allow_resize:
@@ -288,7 +266,7 @@ def load_pretrained(path, vocab, word_table, allow_resize=False, rng=None):
                 f"{path}: embedding dim {dim} conflicts with model word dim {word_table.dim}"
             )
         rows_n = word_table.v.shape[0]
-        word_table.v = np.zeros((rows_n, dim)) if rng is None else glorot(rng, rows_n, dim)
+        word_table.v = glorot(rng, rows_n, dim)
 
     loaded = missed = 0
     for token, vec in rows.items():

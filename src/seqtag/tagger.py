@@ -16,7 +16,7 @@ seed.
 import logging
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class Hyperparams:
     freqbin: bool = False
     pretrained_path: str = None
     cell_kind: str = "lstm"  # "simple_rnn" for the weaker-baseline comparison
-    freqbin_log_base: float = math.e
 
     def __post_init__(self):
         for name in ("lr", "epochs", "word_dim", "subtoken_dim", "hidden_dim"):
@@ -66,17 +65,15 @@ class Hyperparams:
         ReprConfig(self.repr_mode)  # validates the mode
         if self.cell_kind not in ("lstm", "simple_rnn"):
             raise ValueError(f"unknown cell kind {self.cell_kind!r}")
-        if self.freqbin_log_base <= 1.0:
-            raise ValueError("freqbin_log_base must exceed 1")
 
 
-def freqbin_label(freq, base=math.e):
-    """Frequency-class label: int(log(freq)), with freq 0 (UNK) in bin 0."""
+def freqbin_label(freq):
+    """Frequency-class label: int(ln(freq)), with freq 0 (UNK) in bin 0."""
     if freq < 0:
         raise ValueError(f"negative frequency {freq}")
     if freq == 0:
         return 0
-    return int(math.log(freq) / math.log(base)) if base != math.e else int(math.log(freq))
+    return int(math.log(freq))
 
 
 # (T, n_tags) and (T, n_bins) logit matrices; freq_logits is None without the aux head
@@ -94,12 +91,11 @@ class TaggerModel:
         self.n_bins = n_bins
         self.train_history = []
 
-        config = ReprConfig(hp.repr_mode, use_pretrained=pretrained_path is not None)
         self.encoder = TokenEncoder(
-            config, vocab, word_dim or hp.word_dim, hp.subtoken_dim, hp.hidden_dim, init_rng
+            ReprConfig(hp.repr_mode), vocab, word_dim or hp.word_dim, hp.subtoken_dim, hp.hidden_dim, init_rng
         )
         if pretrained_path is not None:
-            if not config.uses_word:
+            if self.encoder.word_table is None:
                 raise ValueError("pretrained embeddings need a mode containing w")
             report = load_pretrained(
                 pretrained_path, vocab, self.encoder.word_table, allow_resize=True, rng=init_rng
@@ -110,31 +106,22 @@ class TaggerModel:
         self.ctx_f = Cell("ctx_f", self.encoder.out_dim, hp.hidden_dim, init_rng)
         self.ctx_r = Cell("ctx_r", self.encoder.out_dim, hp.hidden_dim, init_rng)
         two_h = 2 * hp.hidden_dim
-        if init_rng is None:
-            tag_w = np.zeros((len(self.tagset), two_h))
-            freq_w = np.zeros((n_bins, two_h))
-        else:
-            tag_w = glorot(init_rng, len(self.tagset), two_h)
-            freq_w = glorot(init_rng, n_bins, two_h) if hp.freqbin else None
-        self.tag_W = Parameter("tag_head.W", tag_w)
+        self.tag_W = Parameter("tag_head.W", glorot(init_rng, len(self.tagset), two_h))
         self.tag_b = Parameter("tag_head.b", np.zeros(len(self.tagset)))
         if hp.freqbin:
-            self.freq_W = Parameter("freq_head.W", freq_w if freq_w is not None else np.zeros((n_bins, two_h)))
+            self.freq_W = Parameter("freq_head.W", glorot(init_rng, n_bins, two_h))
             self.freq_b = Parameter("freq_head.b", np.zeros(n_bins))
         else:
             self.freq_W = self.freq_b = None
-        self._params = None
 
     def parameters(self):
-        if self._params is None:
-            self._params = (
-                self.encoder.parameters()
-                + self.ctx_f.parameters()
-                + self.ctx_r.parameters()
-                + [self.tag_W, self.tag_b]
-                + ([self.freq_W, self.freq_b] if self.freq_W is not None else [])
-            )
-        return self._params
+        return (
+            self.encoder.parameters()
+            + self.ctx_f.parameters()
+            + self.ctx_r.parameters()
+            + [self.tag_W, self.tag_b]
+            + ([self.freq_W, self.freq_b] if self.freq_W is not None else [])
+        )
 
     def training_frequency(self, form):
         return self.vocab.freq(form)
@@ -165,7 +152,7 @@ def sentence_loss(model, sentence, tape=None, rng=None, training=False):
     such tokens also take frequency label 0.
     """
     unk_mask = None
-    if training and model.encoder.config.uses_word:
+    if training and model.encoder.word_table is not None:
         unk_mask = [
             model.vocab.freq(form) == 1 and rng.uniform() < UNK_REPLACE_PROB
             for form in sentence.forms
@@ -177,7 +164,7 @@ def sentence_loss(model, sentence, tape=None, rng=None, training=False):
     total = softmax_xent(tape, scores.tag_logits, gold)
     if scores.freq_logits is not None:
         fbins = [
-            0 if unk_mask and unk_mask[i] else freqbin_label(model.vocab.freq(form), model.hp.freqbin_log_base)
+            0 if unk_mask and unk_mask[i] else freqbin_label(model.vocab.freq(form))
             for i, form in enumerate(sentence.forms)
         ]
         total = add(tape, total, softmax_xent(tape, scores.freq_logits, fbins))
@@ -203,10 +190,8 @@ def train(train_corpus, hp, dev_corpus=None):
     if not train_corpus.sentences:
         raise ValueError("train: empty corpus")
     vocab = build_vocab(train_corpus)
-    tagset = sorted({t for s in train_corpus for t in s.tags})
-    n_bins = 1 + max(
-        freqbin_label(c, hp.freqbin_log_base) for c in vocab.freq_train.values()
-    )
+    tagset = train_corpus.tagset()
+    n_bins = 1 + max(freqbin_label(c) for c in vocab.freq_train.values())
     rng = Rng(hp.seed)
     model = TaggerModel(
         hp, vocab, tagset, n_bins, init_rng=rng.child(0), pretrained_path=hp.pretrained_path

@@ -48,20 +48,18 @@ class SuffixTrie:
         root_total = sum(counts.get("", {}).values())
         if root_total == 0:
             return
-        for length in range(0, max_len + 1):
-            for suffix, tags in counts.items():
-                if len(suffix) != length:
-                    continue
-                total = sum(tags.values())
-                ml = {t: c / total for t, c in tags.items()}
-                if length == 0:
-                    self.dist[suffix] = ml
-                    continue
-                parent = self.dist[suffix[1:]] if suffix[1:] in self.dist else self.dist[""]
-                blended = {}
-                for t in set(ml) | set(parent):
-                    blended[t] = (ml.get(t, 0.0) + theta * parent.get(t, 0.0)) / (1.0 + theta)
-                self.dist[suffix] = blended
+        for suffix in sorted(counts, key=len):  # parents first
+            tags = counts[suffix]
+            total = sum(tags.values())
+            ml = {t: c / total for t, c in tags.items()}
+            if not suffix:
+                self.dist[suffix] = ml
+                continue
+            parent = self.dist[suffix[1:]] if suffix[1:] in self.dist else self.dist[""]
+            blended = {}
+            for t in set(ml) | set(parent):
+                blended[t] = (ml.get(t, 0.0) + theta * parent.get(t, 0.0)) / (1.0 + theta)
+            self.dist[suffix] = blended
 
     def __bool__(self):
         return bool(self.dist)
@@ -244,17 +242,12 @@ def train_hmm(corpus, max_suffix_len=10, suffix_max_freq=10, beam_default=1000.0
     """Count, fit interpolation weights, and build the suffix tries."""
     if not corpus.sentences:
         raise ValueError("train_hmm: empty corpus")
-    tagset = sorted({t for s in corpus for t in s.tags})
-    model = TrigramModel(tagset, max_suffix_len, suffix_max_freq, beam_default)
+    model = TrigramModel(corpus.tagset(), max_suffix_len, suffix_max_freq, beam_default)
     for sent in corpus:
         model._count_sentence(sent.forms, sent.tags)
     model._deleted_interpolation()
     model._build_tries()
     return model
-
-
-def emission(word, tag, model):
-    return model.emission(word, tag)
 
 
 def viterbi(model, tokens, beam=1000.0):
@@ -327,27 +320,40 @@ def save_hmm(model, path):
     save_container(path, header, [])
 
 
+def _positive_count(value):
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"{value!r} is not a positive count")
+    return n
+
+
+def _emission_counts(d):
+    if "" in d:
+        raise ValueError("empty word form")
+    return {w: Counter(tags) for w, tags in d.items()}
+
+
 def load_hmm(path):
     """Rebuild a saved model; the suffix tries are re-derived from counts."""
     header, _ = load_container(path)
     if header.get("kind") != "tnt":
         raise ModelError(f"{path}: container holds a {header.get('kind')!r} model, not tnt")
 
-    def field(name, decode=None):
+    def field(name, decode):
         return header_field(path, header, name, decode)
 
     model = TrigramModel(
         field("tagset", list),
         *field("config", lambda c: (c["max_suffix_len"], c["suffix_max_freq"], c["beam_default"])),
     )
-    model.n_tokens = field("n_tokens", int)
+    model.n_tokens = field("n_tokens", _positive_count)
     model.lambdas = field("lambdas", tuple)
     model.uni = field("uni", Counter)
     model.hist1 = field("hist1", Counter)
     model.bi = field("bi", lambda rows: Counter({(a, b): c for a, b, c in rows}))
     model.hist2 = field("hist2", lambda rows: Counter({(a, b): c for a, b, c in rows}))
     model.tri = field("tri", lambda rows: Counter({(a, b, t): c for a, b, t, c in rows}))
-    model.emit = field("emit", lambda d: {w: Counter(tags) for w, tags in d.items()})
+    model.emit = field("emit", _emission_counts)
     model.word_freq = Counter({w: sum(t.values()) for w, t in model.emit.items()})
     model._build_tries()
     return model

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seqtag.autodiff import (
+    BACKWARD,
     Parameter,
     Rng,
     SparseRows,
@@ -17,25 +18,15 @@ from seqtag.autodiff import (
     gaussian_noise,
     glorot,
     gradient_check,
-    logistic,
     lookup_row,
-    matvec,
-    pointwise_mul,
-    primitive_forward,
     sgd_step,
     softmax_xent,
-    tanh,
+    take,
 )
+from seqtag.recurrent import LstmCell, SimpleRnnCell, rnn_seq
 
 
 class TestPrimitiveForward:
-    def test_matvec_identity(self):
-        out = matvec(None, np.eye(2), np.array([3.0, -1.0]))
-        np.testing.assert_array_equal(out.v, [3.0, -1.0])
-
-    def test_tanh_zero(self):
-        np.testing.assert_array_equal(tanh(None, np.zeros(2)).v, [0.0, 0.0])
-
     def test_softmax_xent_uniform(self):
         # -log(1/4) = ln 4
         out = softmax_xent(None, np.zeros(4), 2)
@@ -45,23 +36,11 @@ class TestPrimitiveForward:
         out = concat(None, [np.array([1.0, 2.0]), np.array([3.0])])
         np.testing.assert_array_equal(out.v, [1.0, 2.0, 3.0])
 
-    def test_dispatcher_matches_direct_call(self):
-        out = primitive_forward(None, "softmax_xent", np.zeros(4), gold=2)
-        assert out.v == pytest.approx(math.log(4.0))
-
-    def test_dispatcher_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            primitive_forward(None, "convolve", np.zeros(3))
-
-    def test_dispatcher_rejects_non_finite(self):
-        with pytest.raises(FloatingPointError):
-            primitive_forward(None, "tanh", np.array([1.0, np.nan]))
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             add(None, np.zeros(2), np.zeros(3))
         with pytest.raises(ValueError):
-            matvec(None, np.zeros((2, 3)), np.zeros(2))
+            affine(None, np.zeros((2, 3)), np.zeros(2), np.zeros(2))
 
     def test_gold_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -84,13 +63,15 @@ class TestPrimitiveForward:
 
 class TestBackward:
     def test_square_gradient(self):
-        # loss = x*x with x=[3] -> dloss/dx = [6]
+        # loss = x*x with x=[[3]], as W x with W and x the same leaf:
+        # both paths reach x, so dloss/dx = 3 + 3 = 6
         tape = Tape()
-        x = Parameter("x", np.array([3.0]))
+        x = Parameter("x", np.array([[3.0]]))
         xt = tape.leaf(x)
-        loss = pointwise_mul(tape, xt, xt)
+        loss = affine(tape, xt, take(tape, xt, 0), np.zeros(1))
+        assert float(loss.v[0]) == 9.0
         tape.backward(loss)
-        np.testing.assert_allclose(tape.grad(x), [6.0])
+        np.testing.assert_allclose(tape.grad(x), [[6.0]])
 
     def test_xent_gradient_is_softmax_minus_onehot(self):
         tape = Tape()
@@ -102,7 +83,7 @@ class TestBackward:
     def test_backward_requires_scalar(self):
         tape = Tape()
         z = Parameter("z", np.zeros(3))
-        out = tanh(tape, tape.leaf(z))
+        out = add(tape, tape.leaf(z), tape.leaf(z))
         with pytest.raises(ValueError):
             tape.backward(out)
 
@@ -149,7 +130,8 @@ class TestBackward:
         def forward(tape):
             wt = tape.leaf(w) if tape else w
             bt = tape.leaf(b) if tape else b
-            return softmax_xent(tape, tanh(tape, affine(tape, wt, x, bt)), 1)
+            h = affine(tape, wt, x, bt)
+            return softmax_xent(tape, affine(tape, wt, take(tape, h, slice(0, 3)), bt), 1)
 
         taped = forward(Tape())
         plain = forward(None)
@@ -189,17 +171,15 @@ class TestSgd:
 
 class TestGradientCheck:
     def test_affine_tanh_layer(self):
+        # one Elman step from the zero state is tanh(W x + b)
         rng = Rng(11)
-        w = Parameter("w", glorot(rng, 3, 4))
-        b = Parameter("b", np.zeros(3))
+        cell = SimpleRnnCell("w", 4, 3, rng)
         x = rng.normal(4)
 
         def loss_fn(tape):
-            wt = tape.leaf(w) if tape else w
-            bt = tape.leaf(b) if tape else b
-            return softmax_xent(tape, tanh(tape, affine(tape, wt, x, bt)), 2)
+            return softmax_xent(tape, rnn_seq(cell, x[None], tape=tape), [2])
 
-        assert gradient_check(loss_fn, [w, b], h=1e-5) < 1e-4
+        assert gradient_check(loss_fn, [cell.W_x, cell.b], h=1e-5) < 1e-4
 
     def test_linear_function_is_near_exact(self):
         # central differences are exact for linear maps up to rounding
@@ -207,28 +187,78 @@ class TestGradientCheck:
 
         def loss_fn(tape):
             wt = tape.leaf(w) if tape else w
-            return matvec(tape, wt, np.array([2.0, 3.0]))
+            return affine(tape, wt, np.array([2.0, 3.0]), np.zeros(1))
 
         assert gradient_check(loss_fn, [w], h=1e-5) < 1e-10
 
     def test_composite_graph(self):
-        # concat + mul + lookup + logistic, against central differences
+        # lookup + concat + add + noise + affine + LSTM, against central differences
         rng = Rng(23)
         emb = Parameter("emb", glorot(rng, 5, 3))
         w = Parameter("w", glorot(rng, 4, 6))
         b = Parameter("b", rng.normal(4, 0.1))
+        cell = LstmCell("c", 4, 3, rng)
 
         def loss_fn(tape):
             e = emb if tape is None else tape.leaf(emb)
             wt = w if tape is None else tape.leaf(w)
             bt = b if tape is None else tape.leaf(b)
-            r0 = lookup_row(tape, e, 0)
-            r3 = lookup_row(tape, e, 3)
-            both = concat(tape, [r0, pointwise_mul(tape, r3, r3)])
-            z = logistic(tape, affine(tape, wt, both, bt))
-            return softmax_xent(tape, z, 1)
+            r = lookup_row(tape, e, [0, 3])
+            both = concat(tape, [r, add(tape, r, r)])
+            x = gaussian_noise(tape, both, 0.1, Rng(5))  # a fresh stream: the same noise every call
+            h = rnn_seq(cell, affine(tape, wt, x, bt), tape=tape)
+            return softmax_xent(tape, h, [1, 2])
 
-        assert gradient_check(loss_fn, [emb, w, b], h=1e-5) < 1e-4
+        assert gradient_check(loss_fn, [emb, w, b] + cell.parameters(), h=1e-5) < 1e-4
+
+
+def _one_rule_losses():
+    """kind -> (loss_fn, params): a scalar loss whose gradient reaches every
+    listed parameter through a node of that kind."""
+    rng = Rng(41)
+    a = Parameter("a", rng.normal((2, 3)))
+    b = Parameter("b", rng.normal((2, 3)))
+    c = Parameter("c", rng.normal((2, 5)))
+    w = Parameter("w", glorot(rng, 4, 3))
+    bias = Parameter("bias", rng.normal(4, 0.1))
+    emb = Parameter("emb", glorot(rng, 5, 3))
+    batch = Parameter("batch", rng.normal((6, 3)).reshape(2, 3, 3))  # row 1 has one step; the rest is padding
+    lstm = LstmCell("lstm", 3, 2, rng)
+    elman = SimpleRnnCell("elman", 3, 2, rng)
+    gold = [2, 0]
+
+    def lstm_loss(tape):
+        states = rnn_seq(lstm, batch, [3, 1], False, tape)
+        return softmax_xent(tape, take(tape, states, (np.arange(2), np.array([2, 0]))), [1, 0])
+
+    return {
+        "add": (lambda tape: softmax_xent(tape, add(tape, a, b), gold), [a, b]),
+        "affine": (lambda tape: softmax_xent(tape, affine(tape, w, a, bias), gold), [w, a, bias]),
+        "concat": (lambda tape: softmax_xent(tape, concat(tape, [c, a]), [6, 1]), [c, a]),
+        "take": (lambda tape: softmax_xent(tape, take(tape, a, [1, 0, 1]), [0, 2, 1]), [a]),
+        "lookup": (lambda tape: softmax_xent(tape, lookup_row(tape, emb, [4, 1, 4]), [0, 1, 2]), [emb]),
+        "xent": (lambda tape: softmax_xent(tape, a, gold), [a]),
+        # a fresh stream per call draws the same noise every time
+        "noise": (lambda tape: softmax_xent(tape, gaussian_noise(tape, a, 0.3, Rng(7)), gold), [a]),
+        "lstm_seq": (lstm_loss, lstm.parameters() + [batch]),
+        "simple_rnn_seq": (
+            lambda tape: softmax_xent(tape, rnn_seq(elman, a, None, True, tape), [1, 0]),
+            elman.parameters() + [a],
+        ),
+    }
+
+
+_RULE_LOSSES = _one_rule_losses()
+
+
+@pytest.mark.parametrize("kind", sorted(_RULE_LOSSES))
+def test_every_backward_rule_has_a_gradient_check(kind):
+    assert set(_RULE_LOSSES) == set(BACKWARD)
+    loss_fn, params = _RULE_LOSSES[kind]
+    tape = Tape()
+    loss_fn(tape)
+    assert kind in tape.kinds
+    assert gradient_check(loss_fn, params, h=1e-5) < 1e-6
 
 
 class TestRng:

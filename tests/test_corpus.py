@@ -82,6 +82,33 @@ class TestReadConllu:
         assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("reader", [read_conllu, read_twocol])
+def test_bad_byte_names_the_line(tmp_path, reader):
+    # past the reader's first buffer, so the line is not simply where decoding stopped
+    lines = [f"1\tw{i}\t_\tX\t_\t_\t_\t_\t_\t_\n\n" if reader is read_conllu else f"w{i}\tX\n\n" for i in range(2000)]
+    p = tmp_path / "bad.txt"
+    p.write_bytes("".join(lines).encode("utf-8").replace(b"w1500", b"w\xff500"))
+    with pytest.raises(DataError, match=r"bad\.txt:3001: not UTF-8"):
+        reader(str(p))
+
+
+@pytest.mark.parametrize(
+    "reader,text,first",
+    [
+        (read_conllu, WELL_FORMED, 2),
+        (read_twocol, "#\tSYM\nthe\tDET\ndog\tNOUN\n\ncats\tNOUN\nsleep\tVERB", 1),
+    ],
+    ids=["conllu", "twocol"],
+)
+def test_sources_name_first_and_last_line(tmp_path, reader, text, first):
+    # neither file ends with a blank line, and the second has no final
+    # newline; in two-column files "#" is a token, not a comment
+    p = tmp_path / "s.txt"
+    p.write_text(text, encoding="utf-8")
+    sources = [s.source for s in reader(str(p))]
+    assert sources == [f"{p}:{first}-3", f"{p}:5-6"]
+
+
 class TestTwoColumn:
     def test_round_trip(self, tmp_path):
         corpus = Corpus([Sentence(["a", "b"], ["X", "Y"]), Sentence(["c"], ["Z"])])

@@ -140,10 +140,9 @@ class TestTokenRepr:
         assert enc.out_dim == dim
         assert enc.encode(["dog", "a"]).v.shape == (2, dim)
 
-    def test_paper_default_dimensions(self):
-        cfg = ReprConfig("w+c")
-        assert cfg.out_dim(128, 100) == 328
-        assert ReprConfig("c+b").out_dim(128, 100) == 400
+    def test_paper_default_dimensions(self, vocab):
+        assert TokenEncoder(ReprConfig("w+c"), vocab, 128, 100, 100).out_dim == 328
+        assert TokenEncoder(ReprConfig("c+b"), vocab, 128, 100, 100).out_dim == 400
 
     def test_mode_w_unseen_word_is_unk_row(self, vocab):
         enc = TokenEncoder(ReprConfig("w"), vocab, 8, 4, 3, Rng(1))
@@ -194,6 +193,19 @@ class TestLoadPretrained:
         path = tmp_path / "emb.txt"
         path.write_text("dog one two\n")
         with pytest.raises(DataError):
+            load_pretrained(str(path), vocab, self._table(vocab))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_line(self, vocab, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"dog 1 2 3 4\ncat {value} 2 3 4\n")
+        with pytest.raises(DataError, match=r"emb\.txt:2:"):
+            load_pretrained(str(path), vocab, self._table(vocab))
+
+    def test_bad_byte_names_the_line(self, vocab, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"dog 1 2 3 4\nc\xfft 5 6 7 8\n")
+        with pytest.raises(DataError, match=r"emb\.txt:2: not UTF-8"):
             load_pretrained(str(path), vocab, self._table(vocab))
 
     def test_dimension_conflict(self, vocab, tmp_path):

@@ -58,10 +58,6 @@ class TestFreqbinLabel:
         with pytest.raises(ValueError):
             freqbin_label(-1)
 
-    def test_base_ten_switch(self):
-        assert freqbin_label(100, base=10.0) == 2
-        assert freqbin_label(99, base=10.0) == 1
-
 
 class TestSentenceLoss:
     def _zero_model(self, freqbin=True):

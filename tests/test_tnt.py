@@ -239,3 +239,23 @@ class TestPersistence:
         with pytest.raises(ModelError, match="n_tokens") as err:
             load_hmm(str(path))
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda h: h.update(n_tokens=0), "n_tokens"),
+            (lambda h: h["emit"].update({"": {"X": 1}}), "emit"),
+        ],
+        ids=["no-tokens", "empty-form"],
+    )
+    def test_impossible_counts_are_a_model_error(self, tmp_path, edit, field):
+        from seqtag.container import ModelError, load_container, save_container
+
+        path = tmp_path / "tnt.bin"
+        save_hmm(train_hmm(Corpus([Sentence(["a", "b"], ["X", "Y"])])), str(path))
+        header, _ = load_container(str(path))
+        edit(header)
+        save_container(str(path), header, [])
+        with pytest.raises(ModelError, match=field) as err:
+            load_hmm(str(path))
+        assert str(path) in str(err.value)

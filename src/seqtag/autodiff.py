@@ -1,7 +1,7 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The engine is deliberately small: a flat operation tape and exactly the
-node kinds the taggers record.  Besides parameter leaves there are nine:
+node kinds the taggers record.  Besides parameter leaves there are eight:
 
   add       elementwise sum (the joint tag + frequency loss)
   affine    x W^T + b (the tag and frequency heads)
@@ -10,8 +10,7 @@ node kinds the taggers record.  Besides parameter leaves there are nine:
   lookup    embedding-table rows, with a sparse row gradient
   xent      summed softmax cross-entropy, one gold class per row
   noise     additive Gaussian noise, identity gradient
-  lstm_seq, simple_rnn_seq
-            a whole LSTM or Elman run over a padded batch (recurrent.py)
+  lstm_seq  a whole LSTM run over a padded batch (recurrent.py)
 
 The ops that carry a sentence take a matrix with one row per token, so a
 sentence records a few nodes, not a few per token.  Everything runs in

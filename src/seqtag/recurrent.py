@@ -1,4 +1,4 @@
-"""LSTM and simple-RNN cells run over whole sequences as single tape nodes.
+"""LSTM cells run over whole sequences as single tape nodes.
 
 The LSTM is the standard input/forget/output-gate formulation without
 peepholes:
@@ -9,7 +9,7 @@ peepholes:
 
 Gate weights are stored stacked row-wise in [i, f, g, o] order inside one
 (4H x D) input matrix, one (4H x H) recurrent matrix and one (4H,) bias.
-The Elman cell is h' = tanh(W_x x + W_h h + b).  Initial states are zero.
+Initial states are zero.
 
 `rnn_seq` runs one cell in one direction over a padded (B, T, D) batch
 whose row b holds a sequence of lengths[b] <= T steps; what lies beyond a
@@ -41,30 +41,20 @@ import numpy as np
 from .autodiff import BACKWARD, Parameter, Tensor, concat, glorot, take, wrap
 
 
-class _Cell:
-    """Stacked gate weights of a recurrent cell; zeros without an rng."""
+class LstmCell:
+    """Stacked [i, f, g, o] gate weights of an LSTM; zeros without an rng."""
 
     def __init__(self, name, input_dim, hidden_dim, rng=None):
         self.name = name
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        h, d, k = hidden_dim, input_dim, self.gates
-        self.W_x = Parameter(f"{name}.W_x", np.vstack([glorot(rng, h, d) for _ in range(k)]))
-        self.W_h = Parameter(f"{name}.W_h", np.vstack([glorot(rng, h, h) for _ in range(k)]))
-        self.b = Parameter(f"{name}.b", np.zeros(k * h))
+        h, d = hidden_dim, input_dim
+        self.W_x = Parameter(f"{name}.W_x", np.vstack([glorot(rng, h, d) for _ in range(4)]))
+        self.W_h = Parameter(f"{name}.W_h", np.vstack([glorot(rng, h, h) for _ in range(4)]))
+        self.b = Parameter(f"{name}.b", np.zeros(4 * h))
 
     def parameters(self):
         return [self.W_x, self.W_h, self.b]
-
-
-class LstmCell(_Cell):
-    kind, gates = "lstm", 4
-
-
-class SimpleRnnCell(_Cell):
-    """Elman cell: h' = tanh(W_x x + W_h h + b)."""
-
-    kind, gates = "simple_rnn", 1
 
 
 def _packing(lengths, steps, reverse):
@@ -146,35 +136,6 @@ def _lstm_backward(dh_out, wh, counts, hdim, cache):
     return da.reshape(n_all, 4 * hdim)
 
 
-def _elman_forward(p, wh, counts, hdim):
-    h_all = np.empty((p.shape[0], hdim))
-    wh_t = wh.T
-    off = 0
-    h = None
-    for n in counts:
-        rows = slice(off, off + n)
-        h = np.tanh(p[rows] if h is None else p[rows] + h[:n] @ wh_t, out=h_all[rows])
-        off += n
-    return h_all, h_all
-
-
-def _elman_backward(dh_out, wh, counts, hdim, h_all):
-    r = 1.0 - h_all * h_all
-    da = np.empty_like(dh_out)
-    starts = np.cumsum(counts) - counts
-    dh_rec = None
-    for t in range(len(counts) - 1, -1, -1):
-        rows = slice(starts[t], starts[t] + counts[t])
-        dh = dh_out[rows]
-        if dh_rec is not None:
-            dh = dh.copy()
-            dh[: len(dh_rec)] += dh_rec
-        np.multiply(dh, r[rows], out=da[rows])
-        if t:
-            dh_rec = da[rows] @ wh
-    return da
-
-
 def _previous(states, counts):
     """The packed state each entry's step started from: zeros at step 0."""
     starts = np.cumsum(counts) - counts
@@ -182,9 +143,6 @@ def _previous(states, counts):
     out = np.zeros_like(states)
     out[counts[0] :] = states[starts[t - 1] + np.arange(counts[0], counts.sum()) - starts[t]]
     return out
-
-
-_CELLS = {"lstm": (_lstm_forward, _lstm_backward), "simple_rnn": (_elman_forward, _elman_backward)}
 
 
 def rnn_seq(cell, x, lengths=None, reverse=False, tape=None):
@@ -212,7 +170,7 @@ def rnn_seq(cell, x, lengths=None, reverse=False, tape=None):
     rows, pos, counts = _packing(lengths, steps, reverse)
     xs = xv[rows, pos]
     wx, wh = cell.W_x.v, cell.W_h.v
-    h_all, cache = _CELLS[cell.kind][0](xs @ wx.T + cell.b.v, wh, counts, hdim)
+    h_all, cache = _lstm_forward(xs @ wx.T + cell.b.v, wh, counts, hdim)
     out = np.zeros((b_rows, steps, hdim))
     out[rows, pos] = h_all
     if x.v.ndim == 2:
@@ -220,15 +178,15 @@ def rnn_seq(cell, x, lengths=None, reverse=False, tape=None):
     if tape is None:
         return Tensor(out)
     pw, ph, pb = (tape.leaf(p).node for p in cell.parameters())
-    aux = (cell.kind, wx, wh, xs, rows, pos, counts, h_all, cache)
-    return tape.record(f"{cell.kind}_seq", (pw, ph, pb, x.node), out, aux)
+    aux = (wx, wh, xs, rows, pos, counts, h_all, cache)
+    return tape.record("lstm_seq", (pw, ph, pb, x.node), out, aux)
 
 
 def _bw_rnn_seq(tape, idx, g):
     pw, ph, pb, px = tape.parents[idx]
-    kind, wx, wh, xs, rows, pos, counts, h_all, cache = tape.aux[idx]
+    wx, wh, xs, rows, pos, counts, h_all, cache = tape.aux[idx]
     g3 = g if g.ndim == 3 else g[None]
-    da = _CELLS[kind][1](g3[rows, pos], wh, counts, wh.shape[1], cache)
+    da = _lstm_backward(g3[rows, pos], wh, counts, wh.shape[1], cache)
     if pw is not None:
         tape.gbuf(pw)
         tape.grads[pw] += da.T @ xs
@@ -242,7 +200,7 @@ def _bw_rnn_seq(tape, idx, g):
         tape.acc(px, dx.reshape(tape.values[px].shape))
 
 
-BACKWARD.update({"lstm_seq": _bw_rnn_seq, "simple_rnn_seq": _bw_rnn_seq})
+BACKWARD["lstm_seq"] = _bw_rnn_seq
 
 
 def birnn_seq(cell_f, cell_r, x, lengths, tape=None):

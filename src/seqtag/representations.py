@@ -90,7 +90,7 @@ class Vocab:
     def from_dict(cls, d):
         word_ids = {w: i for i, w in enumerate(d["words"])}
         char_ids = {ch: i + 3 for i, ch in enumerate(d["chars"])}
-        freq = {w: c for w, c in zip(d["words"], d["counts"]) if c > 0}
+        freq = {w: c for w, c in zip(d["words"], d["counts"], strict=True) if c > 0}
         return cls(word_ids, char_ids, freq)
 
 

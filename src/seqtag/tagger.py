@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Parameter, Rng, Tape, add, affine, gaussian_noise, glorot, sgd_step, softmax_xent
 from .container import ModelError, header_field, load_container, save_container
-from .recurrent import LstmCell, SimpleRnnCell, birnn_ctx
+from .recurrent import LstmCell, birnn_ctx
 from .representations import ReprConfig, TokenEncoder, Vocab, build_vocab, load_pretrained
 
 log = logging.getLogger(__name__)
@@ -54,7 +54,6 @@ class Hyperparams:
     repr_mode: str = "w+c"
     freqbin: bool = False
     pretrained_path: str = None
-    cell_kind: str = "lstm"  # "simple_rnn" for the weaker-baseline comparison
 
     def __post_init__(self):
         for name in ("lr", "epochs", "word_dim", "subtoken_dim", "hidden_dim"):
@@ -63,8 +62,6 @@ class Hyperparams:
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         ReprConfig(self.repr_mode)  # validates the mode
-        if self.cell_kind not in ("lstm", "simple_rnn"):
-            raise ValueError(f"unknown cell kind {self.cell_kind!r}")
 
 
 def freqbin_label(freq):
@@ -102,9 +99,8 @@ class TaggerModel:
             )
             log.info("pretrained embeddings: %(loaded)d loaded, %(missed)d missed", report)
 
-        Cell = LstmCell if hp.cell_kind == "lstm" else SimpleRnnCell
-        self.ctx_f = Cell("ctx_f", self.encoder.out_dim, hp.hidden_dim, init_rng)
-        self.ctx_r = Cell("ctx_r", self.encoder.out_dim, hp.hidden_dim, init_rng)
+        self.ctx_f = LstmCell("ctx_f", self.encoder.out_dim, hp.hidden_dim, init_rng)
+        self.ctx_r = LstmCell("ctx_r", self.encoder.out_dim, hp.hidden_dim, init_rng)
         two_h = 2 * hp.hidden_dim
         self.tag_W = Parameter("tag_head.W", glorot(init_rng, len(self.tagset), two_h))
         self.tag_b = Parameter("tag_head.b", np.zeros(len(self.tagset)))

@@ -23,7 +23,7 @@ from seqtag.autodiff import (
     softmax_xent,
     take,
 )
-from seqtag.recurrent import LstmCell, SimpleRnnCell, rnn_seq
+from seqtag.recurrent import LstmCell, rnn_seq
 
 
 class TestPrimitiveForward:
@@ -171,9 +171,10 @@ class TestSgd:
 
 class TestGradientCheck:
     def test_affine_tanh_layer(self):
-        # one Elman step from the zero state is tanh(W x + b)
+        # one LSTM step from the zero state is o * tanh(i * g), with every
+        # gate an affine map of x followed by a logistic or tanh squashing
         rng = Rng(11)
-        cell = SimpleRnnCell("w", 4, 3, rng)
+        cell = LstmCell("w", 4, 3, rng)
         x = rng.normal(4)
 
         def loss_fn(tape):
@@ -224,7 +225,6 @@ def _one_rule_losses():
     emb = Parameter("emb", glorot(rng, 5, 3))
     batch = Parameter("batch", rng.normal((6, 3)).reshape(2, 3, 3))  # row 1 has one step; the rest is padding
     lstm = LstmCell("lstm", 3, 2, rng)
-    elman = SimpleRnnCell("elman", 3, 2, rng)
     gold = [2, 0]
 
     def lstm_loss(tape):
@@ -241,10 +241,6 @@ def _one_rule_losses():
         # a fresh stream per call draws the same noise every time
         "noise": (lambda tape: softmax_xent(tape, gaussian_noise(tape, a, 0.3, Rng(7)), gold), [a]),
         "lstm_seq": (lstm_loss, lstm.parameters() + [batch]),
-        "simple_rnn_seq": (
-            lambda tape: softmax_xent(tape, rnn_seq(elman, a, None, True, tape), [1, 0]),
-            elman.parameters() + [a],
-        ),
     }
 
 

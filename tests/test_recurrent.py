@@ -15,9 +15,9 @@ from seqtag.autodiff import (
     softmax_xent,
     take,
 )
-from seqtag.recurrent import LstmCell, SimpleRnnCell, birnn_ctx, birnn_seq, rnn_seq
+from seqtag.recurrent import LstmCell, birnn_ctx, birnn_seq, rnn_seq
 
-from reference import gate, reference_grads, reference_lstm_step, reference_rnn_step, reference_states
+from reference import gate, reference_grads, reference_lstm_step, reference_states
 
 
 def _seeded_lstm(name="lstm", input_dim=3, hidden_dim=4, seed=17):
@@ -39,11 +39,6 @@ class TestCellStep:
         out = rnn_seq(cell, np.array([[1.0, -2.0, 0.5]]))
         np.testing.assert_array_equal(out.v, np.zeros((1, 4)))
 
-    def test_zero_simple_rnn_gives_zero(self):
-        cell = SimpleRnnCell("z", 3, 4)
-        out = rnn_seq(cell, np.array([[1.0, 2.0, 3.0]]))
-        np.testing.assert_array_equal(out.v, np.zeros((1, 4)))
-
     def test_lstm_matches_reference(self):
         # the second step starts from the nonzero state the first one left
         cell = _seeded_lstm()
@@ -53,13 +48,6 @@ class TestCellStep:
         got = rnn_seq(cell, xs)
         np.testing.assert_allclose(got.v[0], h, rtol=1e-12)
         np.testing.assert_allclose(got.v[1], want_h, rtol=1e-12)
-
-    def test_simple_rnn_matches_reference(self):
-        cell = SimpleRnnCell("r", 3, 4, Rng(5))
-        xs = Rng(6).normal(6).reshape(2, 3)
-        h = reference_rnn_step(cell, xs[0], np.zeros(4))
-        got = rnn_seq(cell, xs)
-        np.testing.assert_allclose(got.v[1], reference_rnn_step(cell, xs[1], h), rtol=1e-12)
 
     def test_dimension_mismatch(self):
         cell = _seeded_lstm()
@@ -107,10 +95,10 @@ class TestRun:
         with pytest.raises(ValueError):
             rnn_seq(_seeded_lstm(), np.zeros((2, 3, 3)), lengths=[2])
 
-    @pytest.mark.parametrize("kind", ["lstm", "simple_rnn"])
+    @pytest.mark.parametrize("kind", ["lstm"])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_ragged_rows_match_the_reference_and_ignore_padding(self, kind, reverse):
-        cell = _seeded_lstm() if kind == "lstm" else SimpleRnnCell("r", 3, 4, Rng(5))
+        cell = _seeded_lstm()
         lengths = [3, 1, 5, 3]
         x = _ragged_batch(Rng(4), lengths, 3)
         out = rnn_seq(cell, x, lengths, reverse).v
@@ -123,10 +111,10 @@ class TestRun:
 
 
 class TestFusedGradientsAgainstReference:
-    @pytest.mark.parametrize("kind", ["lstm", "simple_rnn"])
+    @pytest.mark.parametrize("kind", ["lstm"])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_weights_and_inputs(self, kind, reverse):
-        cell = _seeded_lstm(input_dim=3, hidden_dim=4) if kind == "lstm" else SimpleRnnCell("r", 3, 4, Rng(5))
+        cell = _seeded_lstm(input_dim=3, hidden_dim=4)
         lengths = [1, 3, 5]
         rng = Rng(61)
         x = Parameter("x", np.nan_to_num(_ragged_batch(rng, lengths, 3)))
@@ -225,20 +213,6 @@ class TestGradients:
         params = cell.parameters() + [head_w, head_b]
         assert gradient_check(loss_fn, params, h=1e-5) < 1e-4
 
-    def test_simple_rnn_gradient_check(self):
-        cell = SimpleRnnCell("r", 2, 3, Rng(31))
-        rng = Rng(32)
-        xs = rng.normal(8).reshape(4, 2)
-        head_w = Parameter("head.W", glorot(rng, 2, 3))
-        head_b = Parameter("head.b", np.zeros(2))
-
-        def loss_fn(tape):
-            first = take(tape, rnn_seq(cell, xs, reverse=True, tape=tape), 0)
-            return _head_loss(tape, first, head_w, head_b, 0)
-
-        params = cell.parameters() + [head_w, head_b]
-        assert gradient_check(loss_fn, params, h=1e-5) < 1e-4
-
     def test_birnn_ctx_gradient_check(self):
         cf = _seeded_lstm(input_dim=2, hidden_dim=2, seed=41)
         crv = _seeded_lstm(input_dim=2, hidden_dim=2, seed=42)
@@ -273,9 +247,9 @@ class TestGradients:
         params = cell.parameters() + [head_w, head_b, x]
         assert gradient_check(loss_fn, params, h=1e-5) < 1e-4
 
-    def test_ragged_elman_and_birnn_seq_gradient_check(self):
-        cf = SimpleRnnCell("f", 2, 3, Rng(71))
-        cr = SimpleRnnCell("r", 2, 3, Rng(72))
+    def test_ragged_birnn_seq_gradient_check(self):
+        cf = _seeded_lstm("f", input_dim=2, hidden_dim=3, seed=71)
+        cr = _seeded_lstm("r", input_dim=2, hidden_dim=3, seed=72)
         lengths = [2, 4, 1]
         rng = Rng(73)
         x = Parameter("x", np.nan_to_num(_ragged_batch(rng, lengths, 2)))

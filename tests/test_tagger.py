@@ -197,11 +197,6 @@ class TestTraining:
             with pytest.raises(DivergenceError, match="epoch"):
                 train(corpus, _small_hp(epochs=2, lr=1e308))
 
-    def test_simple_rnn_variant_trains(self):
-        corpus = _toy_corpus()
-        model = train(corpus, _small_hp(epochs=2, cell_kind="simple_rnn"))
-        assert len(model.predict(["the", "dog"])) == 2
-
 
 @pytest.fixture(scope="module")
 def model():
@@ -305,6 +300,15 @@ class TestBadHeader:
 
         path = self._rewrite(tmp_path, lambda h: h.pop("vocab"))
         with pytest.raises(ModelError, match="vocab") as err:
+            load(path)
+        assert path in str(err.value)
+
+    @pytest.mark.parametrize("resize", [lambda c: c[:-1], lambda c: c + [1]], ids=["counts-short", "counts-long"])
+    def test_vocab_counts_not_one_per_word(self, tmp_path, resize):
+        from seqtag.container import ModelError
+
+        path = self._rewrite(tmp_path, lambda h: h["vocab"].update(counts=resize(h["vocab"]["counts"])))
+        with pytest.raises(ModelError, match="'vocab'") as err:
             load(path)
         assert path in str(err.value)
 

@@ -3,12 +3,18 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtag.autodiff import Rng
+from seqtag.container import ModelError, load_container, save_container
 from seqtag.corpus import Corpus, Sentence
 from seqtag.synthetic import make_suffix_corpus
-from seqtag.tnt import BOUNDARY, SuffixTrie, TrigramModel, load_hmm, save_hmm, train_hmm, viterbi
+from seqtag.tnt import BOUNDARY, SuffixTrie, load_hmm, save_hmm, train_hmm, viterbi
+
+from reference import ReferenceTnt
 
 
 def brute_force_viterbi(model, tokens):
@@ -135,8 +141,8 @@ class TestEmission:
     def test_word_seen_only_as_noun(self):
         corpus = Corpus([Sentence(["boat", "go"], ["NOUN", "VERB"])])
         model = train_hmm(corpus)
-        assert model.emission("boat", "NOUN") == 1.0
-        assert model.emission("boat", "VERB") == 0.0
+        assert model.emission_logp("boat", "NOUN") == 0.0
+        assert model.emission_logp("boat", "VERB") == -math.inf
 
     def test_oov_with_no_suffix_match_is_uniform_over_lowfreq_tags(self):
         # low-frequency words carry tags A and B; tag C lives only on a
@@ -145,10 +151,10 @@ class TestEmission:
         sents.append(Sentence(["alpha", "beta"], ["A", "B"]))
         model = train_hmm(Corpus(sents))
         oov = "零零零"  # shares no suffix with any training word
-        pa = model.emission(oov, "A")
-        pb = model.emission(oov, "B")
-        assert pa == pytest.approx(pb) and pa > 0
-        assert model.emission(oov, "C") == 0.0
+        pa = model.emission_logp(oov, "A")
+        pb = model.emission_logp(oov, "B")
+        assert pa == pytest.approx(pb) and pa > -math.inf
+        assert model.emission_logp(oov, "C") == -math.inf
 
     def test_capitalization_split_tries_can_differ(self):
         sents = [
@@ -157,8 +163,8 @@ class TestEmission:
             Sentence(["cat", "dogs"], ["NOUN", "NOUN"]),
         ]
         model = train_hmm(Corpus(sents))
-        lower = {t: model.emission("runnings", t) for t in model.tagset}
-        upper = {t: model.emission("Runnings", t) for t in model.tagset}
+        lower = {t: model.emission_logp("runnings", t) for t in model.tagset}
+        upper = {t: model.emission_logp("Runnings", t) for t in model.tagset}
         assert lower != upper
 
     def test_emission_row_equals_scalar_calls(self):
@@ -166,9 +172,9 @@ class TestEmission:
         train_c, test_c = make_suffix_corpus(120, 30, seed=4)
         model = train_hmm(train_c)
         words = [w for s in test_c for w in s.forms] + ["Zzzqing", "零零", "x"]
-        assert any(w not in model.emit for w in words) and any(w in model.emit for w in words)
+        assert any(w not in model.form_index for w in words) and any(w in model.form_index for w in words)
         no_tries = train_hmm(Corpus([Sentence(["common"] * 11, ["C"] * 11), Sentence(["a", "b"], ["A", "B"])]))
-        no_tries.trie_upper = no_tries.trie_lower = SuffixTrie({}, 0.0, 10)
+        no_tries.trie_upper = no_tries.trie_lower = SuffixTrie([], np.zeros((0, 3), dtype=np.int64), 0.0, 10)
         for m, ws in ((model, words), (no_tries, ["novel", "Novel", "a"])):
             for w in ws:
                 row = m.emission_logps(w)
@@ -178,8 +184,8 @@ class TestEmission:
         train_c, _ = make_suffix_corpus(120, 10, seed=4)
         model = train_hmm(train_c)
         for trie in (model.trie_upper, model.trie_lower):
-            for suffix, dist in trie.dist.items():
-                assert abs(sum(dist.values()) - 1.0) < 1e-9, suffix
+            for suffix, row in trie.index.items():
+                assert abs(trie.dist[row].sum() - 1.0) < 1e-9, suffix
 
 
 class TestDataBenefit:
@@ -206,6 +212,23 @@ class TestDataBenefit:
         assert acc(small) > acc(tiny)
 
 
+def _set(block, index, value):
+    """A container edit that writes value at arrays[block][index]."""
+
+    def edit(header, arrays):
+        arrays[block][index] = value
+
+    return edit
+
+
+def _all(*edits):
+    def edit(header, arrays):
+        for e in edits:
+            e(header, arrays)
+
+    return edit
+
+
 class TestPersistence:
     def test_round_trip_predictions(self, tmp_path):
         train_c, test_c = make_suffix_corpus(120, 20, seed=6)
@@ -218,7 +241,6 @@ class TestPersistence:
             assert clone.predict(sent.forms) == model.predict(sent.forms)
 
     def test_kind_mismatch_rejected(self, tmp_path):
-        from seqtag.container import ModelError
         from seqtag.tagger import Hyperparams, save as save_bilstm, train as train_bilstm
 
         corpus = Corpus([Sentence(["a", "b"], ["X", "Y"])] * 3)
@@ -228,34 +250,116 @@ class TestPersistence:
         with pytest.raises(ModelError, match="tnt"):
             load_hmm(str(path))
 
-    def test_header_without_counts_is_a_model_error(self, tmp_path):
-        from seqtag.container import ModelError, load_container, save_container
-
+    def _rewrite(self, tmp_path, edit):
+        """A saved two-token model after edit(header, arrays): checksum valid."""
         path = tmp_path / "tnt.bin"
         save_hmm(train_hmm(Corpus([Sentence(["a", "b"], ["X", "Y"])])), str(path))
-        header, _ = load_container(str(path))
-        del header["n_tokens"]
-        save_container(str(path), header, [])  # valid checksum, bad header
-        with pytest.raises(ModelError, match="n_tokens") as err:
-            load_hmm(str(path))
-        assert str(path) in str(err.value)
+        header, arrays = load_container(str(path))
+        edit(header, arrays)
+        save_container(str(path), header, list(arrays.items()))
+        return str(path)
+
+    def test_untouched_file_still_loads(self, tmp_path):
+        assert load_hmm(self._rewrite(tmp_path, lambda h, a: None)).predict(["a", "b"]) == ["X", "Y"]
+
+    def test_header_without_counts_is_a_model_error(self, tmp_path):
+        path = self._rewrite(tmp_path, lambda h, a: a.clear())
+        with pytest.raises(ModelError, match="'tri'") as err:
+            load_hmm(path)
+        assert path in str(err.value)
 
     @pytest.mark.parametrize(
         "edit,field",
         [
-            (lambda h: h.update(n_tokens=0), "n_tokens"),
-            (lambda h: h["emit"].update({"": {"X": 1}}), "emit"),
+            (_all(_set("tri", ..., 0.0), _set("emit", ..., 0.0)), "'tri'"),
+            (lambda h, a: h["forms"].__setitem__(0, ""), "'forms'"),
+            (lambda h, a: a.pop("tri"), "'tri'"),
+            (lambda h, a: a.pop("emit"), "'emit'"),
+            (lambda h, a: h.pop("forms"), "'forms'"),
+            (lambda h, a: a.update(tri=a["tri"][:, :, :1]), "'tri'"),
+            (lambda h, a: a.update(emit=a["emit"][:1]), "'emit'"),
+            (_set("tri", (0, 0, 0), -1.0), "'tri'"),
+            (_set("emit", (0, 0), 0.5), "'emit'"),
+            (_set("emit", (0, 0), np.nan), "'emit'"),
+            (_all(_set("tri", (..., 0), 0.0), _set("emit", (..., 0), 0.0)), "'tri'.*'X'"),
+            (_set("emit", (0, 0), 2.0), "'emit'.*'tri'"),
+            (_all(_set("emit", 0, 0.0), _set("emit", 1, 1.0)), "'emit'.*'a'"),
+            (lambda h, a: h.update(forms=["a", "a"]), "'forms'"),
+            (lambda h, a: h.update(tagset=["X", BOUNDARY]), "'tagset'"),
         ],
-        ids=["no-tokens", "empty-form"],
+        ids=[
+            "no-tokens", "empty-form", "no-tri", "no-emit", "no-forms", "tri-shape", "emit-shape",
+            "negative-count", "fractional-count", "nan-count", "tag-without-tokens", "emit-sums-disagree",
+            "form-without-tokens", "duplicate-forms", "boundary-tag",
+        ],
     )
     def test_impossible_counts_are_a_model_error(self, tmp_path, edit, field):
-        from seqtag.container import ModelError, load_container, save_container
-
-        path = tmp_path / "tnt.bin"
-        save_hmm(train_hmm(Corpus([Sentence(["a", "b"], ["X", "Y"])])), str(path))
-        header, _ = load_container(str(path))
-        edit(header)
-        save_container(str(path), header, [])
+        path = self._rewrite(tmp_path, edit)
         with pytest.raises(ModelError, match=field) as err:
-            load_hmm(str(path))
-        assert str(path) in str(err.value)
+            load_hmm(path)
+        assert path in str(err.value)
+
+
+_FORMS = st.text(alphabet="abeéAÉ零ß", min_size=1, max_size=4)
+
+
+@st.composite
+def _tnt_cases(draw):
+    """(corpus, unseen forms, test sentences, max_suffix_len, suffix_max_freq)."""
+    tags = draw(st.lists(st.sampled_from(["A", "B", "Č", "D", "E", "F"]), min_size=1, max_size=6, unique=True))
+    vocab = draw(st.lists(_FORMS, min_size=1, max_size=10, unique=True))
+    token = st.tuples(st.sampled_from(vocab), st.sampled_from(tags))
+    sents = draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1, max_size=10))
+    corpus = Corpus([Sentence([f for f, _ in s], [t for _, t in s]) for s in sents])
+    # unseen forms: training forms behind one more letter, which reach the
+    # deepest suffix nodes, and free ones
+    extended = st.builds(lambda c, w: c + w, st.sampled_from("aÉ"), st.sampled_from(vocab))
+    novel = draw(st.lists(extended, min_size=1, max_size=3)) + draw(st.lists(_FORMS, max_size=2))
+    novel = sorted(set(novel) - set(vocab))
+    test = draw(st.lists(st.lists(st.sampled_from(vocab + novel), min_size=1, max_size=4), min_size=1, max_size=3))
+    return corpus, novel, test, draw(st.sampled_from([2, 10])), draw(st.sampled_from([1, 10]))
+
+
+class TestAgainstReference:
+    """The count-array model against the dictionary model it replaced."""
+
+    @pytest.mark.parametrize("max_suffix_len", [2, 10])
+    def test_same_model_on_the_suffix_language(self, max_suffix_len):
+        # capitalised sentence starts fill the upper-case trie too
+        train_c, test_c = make_suffix_corpus(300, 40, seed=3)
+        corpus = Corpus([Sentence([s.forms[0].capitalize()] + s.forms[1:], s.tags) for s in train_c])
+        model = train_hmm(corpus, max_suffix_len)
+        want = ReferenceTnt(corpus, max_suffix_len)
+        assert model.trie_upper and model.trie_lower
+        assert model.lambdas == want.lambdas and model.theta == want.theta
+        words = {w for s in test_c for w in s.forms}
+        for word in sorted(words | {w.capitalize() for w in words}):
+            assert [model.emission_logp(word, t) for t in model.tagset] == [
+                want.emission_logp(word, t) for t in model.tagset
+            ], word
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tnt_cases())
+    def test_same_model_through_save_and_load(self, tmp_path_factory, case):
+        corpus, novel, test, max_suffix_len, suffix_max_freq = case
+        model = train_hmm(corpus, max_suffix_len, suffix_max_freq)
+        want = ReferenceTnt(corpus, max_suffix_len, suffix_max_freq)
+        assert model.lambdas == want.lambdas and model.theta == want.theta
+        hist = [BOUNDARY] + model.tagset
+        for t1, t2, t3 in itertools.product(hist, hist, model.tagset):
+            assert model.transition_logp(t1, t2, t3) == want.transition_logp(t1, t2, t3), (t1, t2, t3)
+        for word in model.forms + novel:
+            for tag in model.tagset:
+                assert model.emission_logp(word, tag) == want.emission_logp(word, tag), (word, tag)
+
+        path = str(tmp_path_factory.mktemp("tnt") / "tnt.bin")
+        save_hmm(model, path)
+        clone = load_hmm(path)
+        assert (clone.tagset, clone.forms) == (model.tagset, model.forms)
+        np.testing.assert_array_equal(clone.tri, model.tri)
+        np.testing.assert_array_equal(clone.emit, model.emit)
+        for tokens in test:
+            exact = viterbi(model, tokens, beam=0)
+            assert exact == brute_force_viterbi(model, tokens), tokens
+            assert viterbi(clone, tokens, beam=0) == exact
+            assert clone.predict(tokens) == model.predict(tokens)

@@ -25,6 +25,14 @@ class DataError(Exception):
     """Malformed or unreadable input data; message carries file:line."""
 
 
+def check_tokens(tokens):
+    """ValueError naming the position and repr of the first token that is
+    not a non-empty string."""
+    for k, form in enumerate(tokens):
+        if not isinstance(form, str) or not form:
+            raise ValueError(f"token {k} is {form!r}, not a non-empty string")
+
+
 @dataclass
 class Sentence:
     forms: list

@@ -7,6 +7,10 @@ concatenated in the fixed order word o char o byte:
   c    sequence bi-LSTM over [start, code points..., end] character ids
   b    sequence bi-LSTM over [start, UTF-8 bytes..., end] byte ids
 
+The c and b sources are one compositional word encoder (Ling et al. 2015,
+arXiv:1508.02096) run over two symbol inventories: a `Subword` holds one
+inventory's table, its forward and reverse LSTMs and its markers.
+
 A whole sentence is encoded at once into a (T, out_dim) matrix, one row
 per token.  The word rows come from one table lookup.  Each subword
 encoder pads the sentence's symbol sequences to the longest one (with the
@@ -14,6 +18,9 @@ end marker, which no state ever reads) and runs its forward and reverse
 LSTMs over all words as one batch, so a sentence costs as many recurrent
 steps as its longest word has symbols, not the sum over its words.  Row k
 equals the encoding of word k on its own.
+
+Pretrained word embeddings are read into a {token: vector} map before the
+model is built, and the file's width becomes the word table's width.
 
 Vocabularies are frozen at training time: lookups of unseen symbols map to
 reserved UNK ids and never extend the inventory.  Forms are never
@@ -26,7 +33,7 @@ from collections import Counter
 import numpy as np
 
 from .autodiff import Parameter, concat, glorot, lookup_row
-from .corpus import DataError, not_utf8, open_text
+from .corpus import DataError, check_tokens, not_utf8, open_text
 from .recurrent import LstmCell, birnn_seq
 
 log = logging.getLogger(__name__)
@@ -43,15 +50,18 @@ BYTE_START, BYTE_END, N_BYTE_SYMBOLS = 256, 257, 258
 class Vocab:
     """Word and character inventories plus training-frequency table.
 
-    Word id 0 is the UNK row (serialized under the form "<unk>"); character
-    ids 0..2 are reserved for UNK/start/end markers.  A form is OOV iff its
-    training frequency is zero.
+    Built from the three lists it serialises to: the word forms by id, the
+    characters by id - 3, and each word's training count.  Word id 0 is the
+    UNK row (serialized under the form "<unk>"); character ids 0..2 are
+    reserved for UNK/start/end markers.  A form is OOV iff its training
+    frequency is zero.
     """
 
-    def __init__(self, word_ids, char_ids, freq):
-        self.word_ids = word_ids
-        self.char_ids = char_ids
-        self.freq_train = freq
+    def __init__(self, words, chars, counts):
+        self.words, self.chars, self.counts = list(words), list(chars), list(counts)
+        self.word_ids = {w: i for i, w in enumerate(self.words)}
+        self.char_ids = {ch: i + 3 for i, ch in enumerate(self.chars)}
+        self.freq_train = {w: c for w, c in zip(self.words, self.counts, strict=True) if c > 0}
 
     @property
     def n_words(self):
@@ -74,24 +84,11 @@ class Vocab:
         return self.freq(form) == 0
 
     def to_dict(self):
-        words = [None] * self.n_words
-        for w, i in self.word_ids.items():
-            words[i] = w
-        chars = [None] * len(self.char_ids)
-        for ch, i in self.char_ids.items():
-            chars[i - 3] = ch
-        return {
-            "words": words,
-            "chars": chars,
-            "counts": [self.freq_train.get(w, 0) for w in words],
-        }
+        return {"words": self.words, "chars": self.chars, "counts": self.counts}
 
     @classmethod
     def from_dict(cls, d):
-        word_ids = {w: i for i, w in enumerate(d["words"])}
-        char_ids = {ch: i + 3 for i, ch in enumerate(d["chars"])}
-        freq = {w: c for w, c in zip(d["words"], d["counts"], strict=True) if c > 0}
-        return cls(word_ids, char_ids, freq)
+        return cls(d["words"], d["chars"], d["counts"])
 
 
 def build_vocab(train_corpus):
@@ -102,101 +99,64 @@ def build_vocab(train_corpus):
     """
     if not len(train_corpus.sentences):
         raise ValueError("build_vocab: empty corpus")
-    word_ids = {UNK_FORM: 0}
-    char_ids = {}
-    freq = Counter()
-    for sent in train_corpus:
-        for form in sent.forms:
-            freq[form] += 1
-            if form not in word_ids:
-                word_ids[form] = len(word_ids)
-            for ch in form:
-                if ch not in char_ids:
-                    char_ids[ch] = 3 + len(char_ids)
-    return Vocab(word_ids, dict(char_ids), dict(freq))
+    freq = Counter(form for sent in train_corpus for form in sent.forms)
+    words = list(dict.fromkeys([UNK_FORM, *freq]))
+    chars = list(dict.fromkeys(ch for form in freq for ch in form))
+    return Vocab(words, chars, [freq[w] for w in words])
 
 
-class EmbeddingTable(Parameter):
-    """(|symbols| x dim) parameter matrix, one row per symbol id."""
+class Subword:
+    """Bi-LSTM over one symbol inventory's marker-wrapped spelling of a word.
 
-    def __init__(self, name, n_symbols, dim, rng=None):
-        super().__init__(name, glorot(rng, n_symbols, dim))
+    `symbols(word)` gives the word's symbol ids, which `ids` wraps in the
+    `start` and `end` markers; the encoding of a word is [forward final
+    state, reverse final state].
+    """
 
-    @property
-    def dim(self):
-        return self.v.shape[1]
+    def __init__(self, name, n_symbols, symbols, start, end, dim, hidden_dim, rng=None):
+        self.table = Parameter(f"{name}_emb", glorot(rng, n_symbols, dim))
+        self.fwd = LstmCell(f"{name}_f", dim, hidden_dim, rng)
+        self.rev = LstmCell(f"{name}_r", dim, hidden_dim, rng)
+        self.symbols, self.start, self.end = symbols, start, end
 
+    def parameters(self):
+        return [self.table] + self.fwd.parameters() + self.rev.parameters()
 
-class ReprConfig:
-    """Representation mode: which of word, char and byte sources it uses."""
+    def ids(self, words):
+        """(B, L) marker-wrapped symbol ids of B words, padded with the end
+        marker to the longest, and each word's symbol count."""
+        check_tokens(words)
+        seqs = [[self.start, *self.symbols(w), self.end] for w in words]
+        lengths = np.array([len(q) for q in seqs])
+        ids = np.full((len(seqs), lengths.max()), self.end)
+        for k, q in enumerate(seqs):
+            ids[k, : len(q)] = q
+        return ids, lengths
 
-    def __init__(self, mode):
-        if mode not in REPR_MODES:
-            raise ValueError(f"unknown representation mode {mode!r}")
-        self.mode = mode
-
-
-def subtoken_ids(word, level, vocab=None):
-    """Marker-wrapped symbol ids for a word at the char or byte level."""
-    if not word:
-        raise ValueError("subtoken_ids: empty word")
-    if level == "char":
-        return [CHAR_START] + [vocab.char_id(ch) for ch in word] + [CHAR_END]
-    if level == "byte":
-        return [BYTE_START] + list(word.encode("utf-8")) + [BYTE_END]
-    raise ValueError(f"unknown subtoken level {level!r}")
-
-
-def subtoken_batch(words, level, vocab=None):
-    """(B, L) marker-wrapped symbol ids of B words, padded with the end
-    marker to the longest, and each word's symbol count."""
-    seqs = [subtoken_ids(w, level, vocab) for w in words]
-    lengths = np.array([len(q) for q in seqs])
-    ids = np.full((len(seqs), lengths.max()), CHAR_END if level == "char" else BYTE_END)
-    for k, q in enumerate(seqs):
-        ids[k, : len(q)] = q
-    return ids, lengths
+    def encode(self, words, tape=None):
+        ids, lengths = self.ids(words)
+        return birnn_seq(self.fwd, self.rev, lookup_row(tape, self.table, ids), lengths, tape)
 
 
 class TokenEncoder:
-    """Bundles the tables and lower-level cells for one representation mode."""
+    """The word table (modes with w) and the subword encoders of one mode."""
 
-    def __init__(self, config, vocab, word_dim, subtoken_dim, hidden_dim, rng=None):
+    def __init__(self, mode, vocab, word_dim, subtoken_dim, hidden_dim, rng=None):
+        if mode not in REPR_MODES:
+            raise ValueError(f"unknown representation mode {mode!r}")
         self.vocab = vocab
-        self.word_table = None
-        self.char_table = self.char_f = self.char_r = None
-        self.byte_table = self.byte_f = self.byte_r = None
-        if "w" in config.mode:
-            self.word_table = EmbeddingTable("word_emb", vocab.n_words, word_dim, rng)
-        if "c" in config.mode:
-            self.char_table = EmbeddingTable("char_emb", vocab.n_chars, subtoken_dim, rng)
-            self.char_f = LstmCell("char_f", subtoken_dim, hidden_dim, rng)
-            self.char_r = LstmCell("char_r", subtoken_dim, hidden_dim, rng)
-        if "b" in config.mode:
-            self.byte_table = EmbeddingTable("byte_emb", N_BYTE_SYMBOLS, subtoken_dim, rng)
-            self.byte_f = LstmCell("byte_f", subtoken_dim, hidden_dim, rng)
-            self.byte_r = LstmCell("byte_r", subtoken_dim, hidden_dim, rng)
-
-    @property
-    def out_dim(self):
-        """Width of encode's rows: the word table's plus each subword cell's."""
-        dim = self.word_table.dim if self.word_table is not None else 0
-        for cell in (self.char_f, self.char_r, self.byte_f, self.byte_r):
-            if cell is not None:
-                dim += cell.hidden_dim
-        return dim
+        self.word_table = Parameter("word_emb", glorot(rng, vocab.n_words, word_dim)) if "w" in mode else None
+        levels = {
+            "c": ("char", vocab.n_chars, lambda w: [vocab.char_id(ch) for ch in w], CHAR_START, CHAR_END),
+            "b": ("byte", N_BYTE_SYMBOLS, lambda w: w.encode("utf-8"), BYTE_START, BYTE_END),
+        }
+        self.subwords = [Subword(*levels[k], subtoken_dim, hidden_dim, rng) for k in "cb" if k in mode]
+        # width of encode's rows: the word table's plus each subword bi-LSTM's
+        self.out_dim = (word_dim if self.word_table is not None else 0) + 2 * hidden_dim * len(self.subwords)
 
     def parameters(self):
-        out = []
-        if self.word_table is not None:
-            out.append(self.word_table)
-        if self.char_table is not None:
-            out.append(self.char_table)
-            out += self.char_f.parameters() + self.char_r.parameters()
-        if self.byte_table is not None:
-            out.append(self.byte_table)
-            out += self.byte_f.parameters() + self.byte_r.parameters()
-        return out
+        words = [self.word_table] if self.word_table is not None else []
+        return words + [p for sw in self.subwords for p in sw.parameters()]
 
     def encode(self, words, tape=None, replace_unk=None):
         """(len(words), out_dim) token matrix, columns in the order word o char o byte.
@@ -206,30 +166,20 @@ class TokenEncoder:
         """
         if not words:
             raise ValueError("encode: empty sentence")
+        check_tokens(words)
         parts = []
         if self.word_table is not None:
             ids = [0 if replace_unk and replace_unk[k] else self.vocab.word_id(w) for k, w in enumerate(words)]
             parts.append(lookup_row(tape, self.word_table, np.array(ids)))
-        if self.char_table is not None:
-            ids, lengths = subtoken_batch(words, "char", self.vocab)
-            x = lookup_row(tape, self.char_table, ids)
-            parts.append(birnn_seq(self.char_f, self.char_r, x, lengths, tape))
-        if self.byte_table is not None:
-            ids, lengths = subtoken_batch(words, "byte")
-            x = lookup_row(tape, self.byte_table, ids)
-            parts.append(birnn_seq(self.byte_f, self.byte_r, x, lengths, tape))
+        parts += [sw.encode(words, tape) for sw in self.subwords]
         return parts[0] if len(parts) == 1 else concat(tape, parts)
 
 
-def load_pretrained(path, vocab, word_table, allow_resize=False, rng=None):
-    """Overwrite word-embedding rows from a text file of "token floats...".
+def read_embeddings(path):
+    """{token: vector} of a text file of "token floats..." lines.
 
-    Rows for tokens outside the vocabulary are counted as missed and
-    ignored; a duplicated token keeps its last occurrence (with a warning).
-    A dimension conflict is an error unless `allow_resize` is set (fresh,
-    untrained model), in which case the table is rebuilt at the file
-    dimension (Glorot re-init when `rng` is given, zeros otherwise) before
-    the file rows are written.  Returns {"loaded": n, "missed": m}.
+    Every row must have the width of the first; a duplicated token keeps
+    its last occurrence (with a warning).
     """
     rows = {}
     dim = None
@@ -259,21 +209,4 @@ def load_pretrained(path, vocab, word_table, allow_resize=False, rng=None):
                 rows[token] = vec
         except UnicodeDecodeError:
             raise not_utf8(path) from None
-
-    if dim is not None and dim != word_table.dim:
-        if not allow_resize:
-            raise DataError(
-                f"{path}: embedding dim {dim} conflicts with model word dim {word_table.dim}"
-            )
-        rows_n = word_table.v.shape[0]
-        word_table.v = glorot(rng, rows_n, dim)
-
-    loaded = missed = 0
-    for token, vec in rows.items():
-        wid = vocab.word_ids.get(token)
-        if wid is None:
-            missed += 1
-            continue
-        word_table.v[wid] = vec
-        loaded += 1
-    return {"loaded": loaded, "missed": missed}
+    return rows

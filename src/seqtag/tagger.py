@@ -16,14 +16,14 @@ seed.
 import logging
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .autodiff import Parameter, Rng, Tape, add, affine, gaussian_noise, glorot, sgd_step, softmax_xent
 from .container import ModelError, header_field, load_container, save_container
 from .recurrent import LstmCell, birnn_ctx
-from .representations import ReprConfig, TokenEncoder, Vocab, build_vocab, load_pretrained
+from .representations import REPR_MODES, TokenEncoder, Vocab, build_vocab, read_embeddings
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +44,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class Hyperparams:
+    """Training and model settings; a saved model keeps them in its header.
+
+    With `pretrained_path` (modes with w only), `train` replaces `word_dim`
+    by the width of the embedding file before it builds the model.
+    """
+
     lr: float = 0.1
     epochs: int = 20
     sigma: float = 0.2
@@ -61,7 +67,10 @@ class Hyperparams:
                 raise ValueError(f"hyperparameter {name} must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        ReprConfig(self.repr_mode)  # validates the mode
+        if self.repr_mode not in REPR_MODES:
+            raise ValueError(f"unknown representation mode {self.repr_mode!r}")
+        if self.pretrained_path is not None and "w" not in self.repr_mode:
+            raise ValueError(f"pretrained embeddings need a mode with w, not {self.repr_mode!r}")
 
 
 def freqbin_label(freq):
@@ -80,7 +89,7 @@ TokenScores = namedtuple("TokenScores", ["tag_logits", "freq_logits"])
 class TaggerModel:
     """Assembled network: encoder, context cells, tag head, optional freq head."""
 
-    def __init__(self, hp, vocab, tagset, n_bins, init_rng=None, pretrained_path=None, word_dim=None):
+    def __init__(self, hp, vocab, tagset, n_bins, init_rng=None):
         self.hp = hp
         self.vocab = vocab
         self.tagset = list(tagset)
@@ -88,17 +97,7 @@ class TaggerModel:
         self.n_bins = n_bins
         self.train_history = []
 
-        self.encoder = TokenEncoder(
-            ReprConfig(hp.repr_mode), vocab, word_dim or hp.word_dim, hp.subtoken_dim, hp.hidden_dim, init_rng
-        )
-        if pretrained_path is not None:
-            if self.encoder.word_table is None:
-                raise ValueError("pretrained embeddings need a mode containing w")
-            report = load_pretrained(
-                pretrained_path, vocab, self.encoder.word_table, allow_resize=True, rng=init_rng
-            )
-            log.info("pretrained embeddings: %(loaded)d loaded, %(missed)d missed", report)
-
+        self.encoder = TokenEncoder(hp.repr_mode, vocab, hp.word_dim, hp.subtoken_dim, hp.hidden_dim, init_rng)
         self.ctx_f = LstmCell("ctx_f", self.encoder.out_dim, hp.hidden_dim, init_rng)
         self.ctx_r = LstmCell("ctx_r", self.encoder.out_dim, hp.hidden_dim, init_rng)
         two_h = 2 * hp.hidden_dim
@@ -179,7 +178,9 @@ def _accuracy(model, corpus):
 def train(train_corpus, hp, dev_corpus=None):
     """SGD training: one update per sentence, seeded shuffling, no batches.
 
-    Aborts with DivergenceError if the loss goes non-finite.  Per-epoch mean
+    A pretrained embedding file sets the word width, and its rows for
+    training words replace their initial rows.  Aborts with
+    DivergenceError if the loss goes non-finite.  Per-epoch mean
     loss (and dev accuracy, when a dev corpus is given) is logged and kept
     in model.train_history.
     """
@@ -188,10 +189,16 @@ def train(train_corpus, hp, dev_corpus=None):
     vocab = build_vocab(train_corpus)
     tagset = train_corpus.tagset()
     n_bins = 1 + max(freqbin_label(c) for c in vocab.freq_train.values())
+    pretrained = read_embeddings(hp.pretrained_path) if hp.pretrained_path is not None else {}
+    if pretrained:
+        hp = replace(hp, word_dim=len(next(iter(pretrained.values()))))
     rng = Rng(hp.seed)
-    model = TaggerModel(
-        hp, vocab, tagset, n_bins, init_rng=rng.child(0), pretrained_path=hp.pretrained_path
-    )
+    model = TaggerModel(hp, vocab, tagset, n_bins, init_rng=rng.child(0))
+    known = [token for token in pretrained if token in vocab.word_ids]
+    for token in known:
+        model.encoder.word_table.v[vocab.word_ids[token]] = pretrained[token]
+    if hp.pretrained_path is not None:
+        log.info("pretrained embeddings: %d loaded, %d missed", len(known), len(pretrained) - len(known))
     train_rng = rng.child(1)
     shuffle_rng = rng.child(2)
     params = model.parameters()
@@ -224,11 +231,9 @@ def train(train_corpus, hp, dev_corpus=None):
 
 def save(model, path):
     """Write the model as a checksummed container with full-precision arrays."""
-    wt = model.encoder.word_table
     header = {
         "kind": "bilstm",
         "hp": asdict(model.hp),
-        "word_dim_actual": wt.dim if wt is not None else None,
         "vocab": model.vocab.to_dict(),
         "tagset": model.tagset,
         "n_bins": model.n_bins,
@@ -246,8 +251,6 @@ def load(path):
         header_field(path, header, "vocab", Vocab.from_dict),
         header_field(path, header, "tagset", list),
         header_field(path, header, "n_bins", int),
-        init_rng=None,
-        word_dim=header_field(path, header, "word_dim_actual", lambda v: v if v is None else int(v)),
     )
     for p in model.parameters():
         if p.name not in arrays:

@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from .container import ModelError, header_field, load_container, save_container
+from .corpus import check_tokens
 
 BOUNDARY = "<s>"
 NEG_INF = float("-inf")
@@ -181,6 +182,8 @@ class TrigramModel:
         row = self.form_index.get(word)
         if row is not None:
             return self.log_emit[row]
+        if not isinstance(word, str) or not word:
+            raise ValueError(f"token {word!r} is not a non-empty string")
         tries = (self.trie_upper, self.trie_lower) if word[0].isupper() else (self.trie_lower, self.trie_upper)
         trie = next(filter(None, tries), None)  # the other case's trie if this one is empty
         return self.log_uniform if trie is None else trie.query(word)
@@ -245,6 +248,7 @@ def viterbi(model, tokens, beam=1000.0):
         raise ValueError("viterbi: empty sentence")
     if beam != 0 and beam < 1:
         raise ValueError("beam factor must be 0 (exact) or >= 1")
+    check_tokens(tokens)
     tags = model.tagset
     k = len(tags)
     lt0, lt1, lt = model.log_trans[k, k], model.log_trans[k, :k], model.log_trans[:k, :k]

@@ -1,4 +1,4 @@
-"""Vocabulary building, sentence encoding, pretrained embedding loading."""
+"""Vocabulary building, sentence encoding, pretrained embedding reading."""
 
 import logging
 
@@ -14,12 +14,9 @@ from seqtag.representations import (
     CHAR_START,
     BYTE_END,
     BYTE_START,
-    ReprConfig,
     TokenEncoder,
     build_vocab,
-    load_pretrained,
-    subtoken_batch,
-    subtoken_ids,
+    read_embeddings,
 )
 from reference import reference_states
 
@@ -64,43 +61,56 @@ class TestVocab:
         assert clone.freq_train == vocab.freq_train
 
 
+def _subword(vocab, mode):
+    """The one subword encoder of mode "c" or "b"."""
+    return TokenEncoder(mode, vocab, 8, 4, 3, Rng(1)).subwords[0]
+
+
+def _symbols(subword, word):
+    """Marker-wrapped symbol ids of one word."""
+    return subword.ids([word])[0][0].tolist()
+
+
 class TestSubtokenIds:
     def test_single_char_word_has_three_symbols(self, vocab):
-        ids = subtoken_ids("d", "char", vocab)
+        ids = _symbols(_subword(vocab, "c"), "d")
         assert len(ids) == 3
         assert ids[0] == CHAR_START and ids[-1] == CHAR_END
 
-    def test_byte_symbols_follow_utf8(self):
+    def test_byte_symbols_follow_utf8(self, vocab):
         # precomposed U+00EF is two UTF-8 bytes: 4 ASCII + 2 = 6 payload ids
-        ids = subtoken_ids("naïve", "byte")
+        byte = _subword(vocab, "b")
+        ids = _symbols(byte, "naïve")
         assert ids[0] == BYTE_START and ids[-1] == BYTE_END
         assert len(ids) - 2 == len("naïve".encode("utf-8")) == 6
         # the decomposed spelling (i + combining diaeresis) costs one more byte
-        assert len(subtoken_ids("naïve", "byte")) - 2 == 7
+        assert len(_symbols(byte, "naïve")) - 2 == 7
 
     def test_empty_word_rejected(self, vocab):
         with pytest.raises(ValueError):
-            subtoken_ids("", "char", vocab)
+            _subword(vocab, "c").ids([""])
 
     def test_batch_pads_with_the_end_marker(self, vocab):
-        ids, lengths = subtoken_batch(["dog", "d"], "char", vocab)
+        char = _subword(vocab, "c")
+        ids, lengths = char.ids(["dog", "d"])
         assert lengths.tolist() == [5, 3]
-        assert ids[0].tolist() == subtoken_ids("dog", "char", vocab)
-        assert ids[1].tolist() == subtoken_ids("d", "char", vocab) + [CHAR_END, CHAR_END]
+        assert ids[0].tolist() == _symbols(char, "dog")
+        assert ids[1].tolist() == _symbols(char, "d") + [CHAR_END, CHAR_END]
 
 
-def reference_subword(enc, word, level):
-    """Per-step numpy bi-LSTM over one word's symbols: [forward final, reverse final]."""
-    table, cell_f, cell_r = (
-        (enc.char_table, enc.char_f, enc.char_r) if level == "char" else (enc.byte_table, enc.byte_f, enc.byte_r)
-    )
-    xs = table.v[subtoken_ids(word, level, enc.vocab)]
-    return np.concatenate([reference_states(cell_f, xs)[-1], reference_states(cell_r, xs[::-1])[-1]])
+def reference_subword(enc, word):
+    """Per-step numpy bi-LSTM over one word's symbols, for each subword
+    encoder in turn: [forward final, reverse final] of each."""
+    out = []
+    for sw in enc.subwords:
+        xs = sw.table.v[_symbols(sw, word)]
+        out += [reference_states(sw.fwd, xs)[-1], reference_states(sw.rev, xs[::-1])[-1]]
+    return np.concatenate(out)
 
 
 class TestComposition:
     def test_identical_words_identical_vectors(self, vocab):
-        enc = TokenEncoder(ReprConfig("c"), vocab, 8, 4, 3, Rng(1))
+        enc = TokenEncoder("c", vocab, 8, 4, 3, Rng(1))
         words = ["dog", "cat", "dog"]
         np.testing.assert_array_equal(enc.encode(words).v, enc.encode(words).v)
         out = enc.encode(words).v
@@ -109,7 +119,7 @@ class TestComposition:
         np.testing.assert_allclose(out[0], enc.encode(["dog"]).v[0], rtol=0, atol=1e-15)
 
     def test_output_dimension_is_twice_hidden(self, vocab):
-        enc = TokenEncoder(ReprConfig("c"), vocab, 8, 4, 3, Rng(1))
+        enc = TokenEncoder("c", vocab, 8, 4, 3, Rng(1))
         assert enc.encode(["dog"]).v.shape == (1, 6)
         assert enc.encode(["dog", "a", "the"]).v.shape == (3, 6)
 
@@ -122,13 +132,12 @@ class TestComposition:
     def test_rows_equal_single_words_and_the_per_step_reference(self, words):
         # a padded batch of ragged words gives each word its own encoding
         vocab = build_vocab(_corpus([["the", "dog"], ["a", "cat", "dé"]]))
-        enc = TokenEncoder(ReprConfig("c+b"), vocab, 8, 4, 3, Rng(1))
+        enc = TokenEncoder("c+b", vocab, 8, 4, 3, Rng(1))
         out = enc.encode(words).v
         assert out.shape == (len(words), 12)
         for k, word in enumerate(words):
             np.testing.assert_allclose(out[k], enc.encode([word]).v[0], rtol=0, atol=1e-12)
-            want = np.concatenate([reference_subword(enc, word, "char"), reference_subword(enc, word, "byte")])
-            np.testing.assert_allclose(out[k], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out[k], reference_subword(enc, word), rtol=0, atol=1e-12)
 
 
 class TestTokenRepr:
@@ -136,25 +145,25 @@ class TestTokenRepr:
         "mode,dim", [("w", 8), ("c", 6), ("b", 6), ("c+b", 12), ("w+c", 14)]
     )
     def test_mode_dimensions(self, vocab, mode, dim):
-        enc = TokenEncoder(ReprConfig(mode), vocab, 8, 4, 3, Rng(1))
+        enc = TokenEncoder(mode, vocab, 8, 4, 3, Rng(1))
         assert enc.out_dim == dim
         assert enc.encode(["dog", "a"]).v.shape == (2, dim)
 
     def test_paper_default_dimensions(self, vocab):
-        assert TokenEncoder(ReprConfig("w+c"), vocab, 128, 100, 100).out_dim == 328
-        assert TokenEncoder(ReprConfig("c+b"), vocab, 128, 100, 100).out_dim == 400
+        assert TokenEncoder("w+c", vocab, 128, 100, 100).out_dim == 328
+        assert TokenEncoder("c+b", vocab, 128, 100, 100).out_dim == 400
 
     def test_mode_w_unseen_word_is_unk_row(self, vocab):
-        enc = TokenEncoder(ReprConfig("w"), vocab, 8, 4, 3, Rng(1))
+        enc = TokenEncoder("w", vocab, 8, 4, 3, Rng(1))
         np.testing.assert_array_equal(enc.encode(["zebra"]).v[0], enc.word_table.v[0])
 
     def test_mode_c_unseen_words_vary_with_spelling(self, vocab):
-        enc = TokenEncoder(ReprConfig("c"), vocab, 8, 4, 3, Rng(1))
+        enc = TokenEncoder("c", vocab, 8, 4, 3, Rng(1))
         a, b = enc.encode(["goat", "gnat"]).v
         assert not np.array_equal(a, b)
 
     def test_unk_routing_only_touches_word_part(self, vocab):
-        enc = TokenEncoder(ReprConfig("w+c"), vocab, 8, 4, 3, Rng(1))
+        enc = TokenEncoder("w+c", vocab, 8, 4, 3, Rng(1))
         plain = enc.encode(["dog", "cat"]).v
         routed = enc.encode(["dog", "cat"], replace_unk=[True, False]).v
         np.testing.assert_array_equal(routed[0, :8], enc.word_table.v[0])
@@ -163,61 +172,42 @@ class TestTokenRepr:
 
 
 class TestLoadPretrained:
-    def _table(self, vocab, dim=4):
-        enc = TokenEncoder(ReprConfig("w"), vocab, dim, 4, 3, Rng(1))
-        return enc.word_table
+    def _read(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        return read_embeddings(str(path))
 
     def test_known_and_unknown_rows(self, vocab, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("dog 1 2 3 4\ncat 5 6 7 8\nzebra 9 9 9 9\n")
-        table = self._table(vocab)
-        report = load_pretrained(str(path), vocab, table)
-        assert report == {"loaded": 2, "missed": 1}
-        np.testing.assert_array_equal(table.v[vocab.word_id("dog")], [1, 2, 3, 4])
+        # the reader keeps every row; which ones the vocabulary knows is train's concern
+        rows = self._read(tmp_path, "dog 1 2 3 4\ncat 5 6 7 8\nzebra 9 9 9 9\n")
+        assert list(rows) == ["dog", "cat", "zebra"]
+        assert [vocab.is_oov(t) for t in rows] == [False, False, True]
+        np.testing.assert_array_equal(rows["dog"], [1, 2, 3, 4])
 
-    def test_empty_file(self, vocab, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("")
-        assert load_pretrained(str(path), vocab, self._table(vocab))["loaded"] == 0
+    def test_empty_file(self, tmp_path):
+        assert self._read(tmp_path, "") == {}
 
-    def test_duplicate_token_last_wins(self, vocab, tmp_path, caplog):
-        path = tmp_path / "emb.txt"
-        path.write_text("dog 1 1 1 1\ndog 2 2 2 2\n")
-        table = self._table(vocab)
+    def test_duplicate_token_last_wins(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
-            load_pretrained(str(path), vocab, table)
+            rows = self._read(tmp_path, "dog 1 1 1 1\ndog 2 2 2 2\n")
         assert any("duplicate" in r.message for r in caplog.records)
-        np.testing.assert_array_equal(table.v[vocab.word_id("dog")], [2, 2, 2, 2])
+        np.testing.assert_array_equal(rows["dog"], [2, 2, 2, 2])
 
-    def test_malformed_row(self, vocab, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("dog one two\n")
+    def test_malformed_row(self, tmp_path):
         with pytest.raises(DataError):
-            load_pretrained(str(path), vocab, self._table(vocab))
+            self._read(tmp_path, "dog one two\n")
+
+    def test_ragged_rows_name_the_line(self, tmp_path):
+        with pytest.raises(DataError, match=r"emb\.txt:2: row has 2 dims, file started with 4"):
+            self._read(tmp_path, "dog 1 2 3 4\ncat 5 6\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_value_names_the_line(self, vocab, tmp_path, value):
-        path = tmp_path / "emb.txt"
-        path.write_text(f"dog 1 2 3 4\ncat {value} 2 3 4\n")
+    def test_non_finite_value_names_the_line(self, tmp_path, value):
         with pytest.raises(DataError, match=r"emb\.txt:2:"):
-            load_pretrained(str(path), vocab, self._table(vocab))
+            self._read(tmp_path, f"dog 1 2 3 4\ncat {value} 2 3 4\n")
 
-    def test_bad_byte_names_the_line(self, vocab, tmp_path):
+    def test_bad_byte_names_the_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_bytes(b"dog 1 2 3 4\nc\xfft 5 6 7 8\n")
         with pytest.raises(DataError, match=r"emb\.txt:2: not UTF-8"):
-            load_pretrained(str(path), vocab, self._table(vocab))
-
-    def test_dimension_conflict(self, vocab, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("dog 1 2\n")
-        with pytest.raises(DataError):
-            load_pretrained(str(path), vocab, self._table(vocab))
-
-    def test_resize_when_allowed(self, vocab, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("dog 1 2\n")
-        table = self._table(vocab)
-        load_pretrained(str(path), vocab, table, allow_resize=True, rng=Rng(2))
-        assert table.dim == 2
-        np.testing.assert_array_equal(table.v[vocab.word_id("dog")], [1, 2])
+            read_embeddings(str(path))

@@ -315,3 +315,107 @@ class TestBadHeader:
     def test_untouched_header_still_loads(self, tmp_path):
         path = self._rewrite(tmp_path, lambda h: None)
         assert load(path).predict(["the", "dog"])
+
+    def test_old_word_dim_actual_field_is_ignored(self, tmp_path):
+        path = self._rewrite(tmp_path, lambda h: h.update(word_dim_actual=h["hp"]["word_dim"]))
+        assert load(path).predict(["the", "dog"])
+
+    def test_word_table_of_another_width_names_its_shape(self, tmp_path):
+        # what a file whose pretrained table was resized after building looks like
+        from seqtag.container import ModelError
+
+        path = self._rewrite(tmp_path, lambda h: h["hp"].update(word_dim=h["hp"]["word_dim"] + 1))
+        with pytest.raises(ModelError, match="'word_emb' has shape"):
+            load(path)
+
+
+@pytest.mark.parametrize("bad", ["", None, 7], ids=["empty", "None", "int"])
+@pytest.mark.parametrize("kind", ["w", "w+c", "tnt"])
+def test_bad_token_names_its_position_and_repr(kind, bad):
+    from seqtag.tnt import train_hmm
+
+    corpus = Corpus([Sentence(["a", "b"], ["X", "Y"])] * 3)
+    if kind == "tnt":
+        model = train_hmm(corpus)
+    else:
+        model = train(corpus, _small_hp(epochs=1, repr_mode=kind, word_dim=4, subtoken_dim=3, hidden_dim=3))
+    with pytest.raises(ValueError, match=f"token 1 is {bad!r}"):
+        model.predict(["a", bad, "b"])
+
+
+class TestPretrained:
+    """Training through a word-embedding file whose width is not hp.word_dim."""
+
+    ROWS = {"dog": [0.5, -1.0, 2.0], "cat": [1.5, 0.25, -0.75], "zebra": [9.0, 9.0, 9.0]}
+
+    @pytest.fixture
+    def emb(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("".join(f"{t} {' '.join(map(str, v))}\n" for t, v in self.ROWS.items()))
+        return str(path)
+
+    def test_file_sets_the_word_width(self, emb, tmp_path, monkeypatch, caplog):
+        import logging
+
+        from seqtag import tagger
+        from seqtag.container import load_container
+
+        hp = _small_hp(epochs=2, word_dim=8, pretrained_path=emb)
+        with monkeypatch.context() as m:  # no updates: the table stays as built
+            m.setattr(tagger, "sgd_step", lambda params, grads, lr: None)
+            with caplog.at_level(logging.INFO, logger="seqtag.tagger"):
+                frozen = train(_toy_corpus(), hp)
+        assert any("2 loaded, 1 missed" in r.getMessage() for r in caplog.records)
+        table = frozen.encoder.word_table.v
+        assert table.shape == (frozen.vocab.n_words, 3)
+        for token in ("dog", "cat"):
+            np.testing.assert_array_equal(table[frozen.vocab.word_id(token)], self.ROWS[token])
+
+        model = train(_toy_corpus(), hp)
+        assert model.encoder.word_table.v.shape[1] == 3
+        path = tmp_path / "model.bin"
+        save(model, str(path))
+        header, _ = load_container(str(path))
+        assert header["hp"]["word_dim"] == 3 and "word_dim_actual" not in header
+        clone = load(str(path))
+        for a, b in zip(model.parameters(), clone.parameters(), strict=True):
+            np.testing.assert_array_equal(a.v, b.v)
+        for sent in _toy_corpus():
+            assert clone.predict(sent.forms) == model.predict(sent.forms)
+
+    def test_mode_without_words_rejected(self, emb):
+        with pytest.raises(ValueError, match="pretrained"):
+            Hyperparams(repr_mode="c", pretrained_path=emb)
+
+
+def _cell(name):
+    return [f"{name}.W_x", f"{name}.W_h", f"{name}.b"]
+
+
+SUBWORD_NAMES = {
+    "w": ["word_emb"],
+    "c": ["char_emb", *_cell("char_f"), *_cell("char_r")],
+    "b": ["byte_emb", *_cell("byte_f"), *_cell("byte_r")],
+}
+
+
+class TestSavedNames:
+    """Saved files, the init stream and the benchmark's layer map depend on these."""
+
+    @pytest.mark.parametrize("freqbin", [False, True], ids=["plain", "freqbin"])
+    @pytest.mark.parametrize("mode,parts", [("w", "w"), ("c", "c"), ("b", "b"), ("c+b", "cb"), ("w+c", "wc")])
+    def test_parameter_names_in_order(self, mode, parts, freqbin):
+        corpus = _toy_corpus()
+        model = TaggerModel(_small_hp(repr_mode=mode, freqbin=freqbin), build_vocab(corpus), corpus.tagset(), 2)
+        want = [name for part in parts for name in SUBWORD_NAMES[part]]
+        want += _cell("ctx_f") + _cell("ctx_r") + ["tag_head.W", "tag_head.b"]
+        want += ["freq_head.W", "freq_head.b"] if freqbin else []
+        assert [p.name for p in model.parameters()] == want
+
+    def test_header_holds_what_load_reads(self, tmp_path):
+        from seqtag.container import load_container
+
+        path = tmp_path / "model.bin"
+        save(train(_toy_corpus(), _small_hp(epochs=1)), str(path))
+        header, _ = load_container(str(path))
+        assert sorted(header) == ["arrays", "hp", "kind", "n_bins", "tagset", "vocab"]

@@ -40,12 +40,17 @@ class Sentence:
     source: str = field(default="", compare=False)
 
     def __post_init__(self):
+        where = self.source or "sentence"
         if len(self.forms) != len(self.tags) or not self.forms:
-            raise DataError(
-                f"{self.source or 'sentence'}: {len(self.forms)} forms vs {len(self.tags)} tags"
-            )
-        if any(f == "" for f in self.forms):
-            raise DataError(f"{self.source or 'sentence'}: empty form")
+            raise DataError(f"{where}: {len(self.forms)} forms vs {len(self.tags)} tags")
+        for name, items in (("form", self.forms), ("tag", self.tags)):
+            try:
+                "".join(items)  # in C: quicker than a per-token isinstance
+            except TypeError:
+                k = next(k for k, x in enumerate(items) if not isinstance(x, str))
+                raise DataError(f"{where}: {name} {k} is {items[k]!r}, not a string") from None
+        if "" in self.forms:
+            raise DataError(f"{where}: form {self.forms.index('')} is empty")
 
     def __len__(self):
         return len(self.forms)
@@ -131,8 +136,21 @@ def read_conllu(path, split="train", language=""):
     return _read_columns(path, 10, 1, 3, True, split, language)
 
 
+def _check_writable(corpus):
+    """ValueError naming the first form or tag that holds a tab or a line
+    break: written, it would split its line or column."""
+    for i, sent in enumerate(corpus):
+        for name, items in (("form", sent.forms), ("tag", sent.tags)):
+            text = "".join(items)
+            if "\t" in text or "\n" in text or "\r" in text:
+                k = next(k for k, x in enumerate(items) if "\t" in x or "\n" in x or "\r" in x)
+                raise ValueError(f"sentence {i}: {name} {k} is {items[k]!r}, which holds a tab or line break")
+
+
 def write_conllu(corpus, path):
-    """Emit forms and UPOS tags; every other column is '_'."""
+    """Emit forms and UPOS tags; every other column is '_'.  ValueError,
+    before anything is written, for a form or tag with a tab or line break."""
+    _check_writable(corpus)
     with open(path, "w", encoding="utf-8") as fh:
         for sent in corpus:
             for i, (form, tag) in enumerate(zip(sent.forms, sent.tags), 1):
@@ -146,6 +164,8 @@ def read_twocol(path, split="train", language=""):
 
 
 def write_twocol(corpus, path):
+    """Plain "form<TAB>tag" lines; ValueError as in write_conllu."""
+    _check_writable(corpus)
     with open(path, "w", encoding="utf-8") as fh:
         for sent in corpus:
             for form, tag in zip(sent.forms, sent.tags):

@@ -11,8 +11,20 @@ model holds nothing else, so a loaded one cannot disagree with itself.
 Transitions are trigram relative frequencies smoothed by deleted
 interpolation; emissions are maximum-likelihood word-given-tag
 probabilities for known words, and a Bayes inversion of case-split suffix
-statistics (successive abstraction smoothing) for unknown words.  Decoding
-is beam Viterbi in log space over (previous, current) tag pairs.
+statistics (successive abstraction smoothing) for unknown words.  A suffix
+trie row's log emissions are computed on its first query, so loading a
+model pays only for counting the suffixes.
+
+Decoding is beam Viterbi in log space over (previous, current) tag pairs,
+as in TnT (Brants 2000, arXiv:cs/0003055): only the pairs that survive the
+beam at one position are extended to the next, by the tags the next token
+can emit, on Python floats.  A position costs survivors x k additions at
+most; on a language whose words nearly fix their tags one or two pairs
+survive, where a dense step would score all k^3 transitions.  beam = 0
+keeps every pair of nonzero probability, up to k^2 of them, and is then
+slower than dense numpy for large k.  Ties go to the lowest tag indices,
+and a sentence with no path of nonzero probability (through the beam)
+gets the first tag everywhere; `viterbi` says how.
 
 Reconstructed Brants-style constants, all overridable: suffix length <= 10,
 suffixes trained on words with frequency <= 10, abstraction weight theta =
@@ -28,6 +40,7 @@ pins it.  Training data whose open classes lack rare types therefore makes
 their unknown words untaggable.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -45,7 +58,7 @@ def _log(p):
     math.log in the last bit, and the scalar API has always used math.log)."""
     out = np.full(p.shape, NEG_INF)
     positive = p > 0
-    out[positive] = [math.log(x) for x in p[positive].tolist()]
+    out[positive] = list(map(math.log, p[positive].tolist()))
     return out
 
 
@@ -54,35 +67,38 @@ class SuffixTrie:
 
     `index` maps each suffix of a training word (up to max_len characters,
     '' included) to a row of `dist`, which is equivalent to a
-    reversed-character trie.  Row distributions are blended with their
-    shorter-suffix parent: P(t|s_1..i) = (ML(t|s_1..i) + theta *
-    P(t|s_2..i)) / (1 + theta), rooted at the ML distribution of the whole
-    training population for this trie.  `logp` holds the Bayes-inverted
-    emissions log(P(t|suffix) / P(t)), -inf for tags outside the population.
+    reversed-character trie.  Rows are numbered shortest suffix first, so
+    the root '' is row 0 and every row comes after its parent (the suffix
+    minus its first character).  Row distributions are blended with their
+    parent: P(t|s_1..i) = (ML(t|s_1..i) + theta * P(t|s_2..i)) / (1 +
+    theta), rooted at the ML distribution of the whole training population
+    for this trie.  A query returns the row's Bayes-inverted emissions
+    log(P(t|suffix) / P(t)), -inf for tags outside the population, computed
+    on the row's first query and kept.
     """
 
     def __init__(self, forms, counts, theta, max_len):
         """forms: the trie's training words; counts: their (n, k) tag counts."""
         self.max_len = max_len
-        self.index = {}
-        lens = [min(max_len, len(f)) + 1 for f in forms]  # suffixes of each form, '' included
-        node_of = np.fromiter(
-            (self.index.setdefault(f[len(f) - n :], len(self.index)) for f, m in zip(forms, lens) for n in range(m)),
-            np.intp, sum(lens),
-        )
-        word_of = np.repeat(np.arange(len(forms)), lens)
+        lens = np.array([len(f) for f in forms], dtype=np.intp)
+        suffixes, word_of = [""] * len(forms), [np.arange(len(forms))]
+        for n in range(1, max_len + 1):
+            words = np.flatnonzero(lens >= n)
+            suffixes += [forms[i][-n:] for i in words.tolist()]
+            word_of.append(words)
+        self.index = dict(zip(dict.fromkeys(suffixes), itertools.count()))
+        node_of = np.fromiter(map(self.index.__getitem__, suffixes), np.intp, len(suffixes))
+        word_of = np.concatenate(word_of)
         node_counts = np.stack(
             [np.bincount(node_of, weights=c[word_of], minlength=len(self.index)) for c in counts.T], axis=1
         )
         self.dist = node_counts / node_counts.sum(axis=1, keepdims=True)  # ML; the root stays so
-        length = np.array([len(s) for s in self.index], dtype=np.intp)
-        parent = np.array([self.index[s[1:]] if s else 0 for s in self.index], dtype=np.intp)
+        length = np.fromiter(map(len, self.index), np.intp, len(self.index))
+        parent = np.fromiter(map(self.index.__getitem__, [s[1:] for s in self.index]), np.intp, len(self.index))
         for n in range(1, max_len + 1):  # parents first
             rows = np.flatnonzero(length == n)
             self.dist[rows] = (self.dist[rows] + theta * self.dist[parent[rows]]) / (1.0 + theta)
-        prior = self.dist[:1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.logp = _log(np.where(prior > 0, self.dist / prior, 0.0))
+        self._logp = {}  # row -> emission log row, filled by query
 
     def __bool__(self):
         return bool(self.index)
@@ -92,8 +108,14 @@ class SuffixTrie:
         for i in range(min(self.max_len, len(word)), 0, -1):
             row = self.index.get(word[-i:])
             if row is not None:
-                return self.logp[row]
-        return self.logp[0]
+                break
+        else:
+            row = 0
+        logp = self._logp.get(row)
+        if logp is None:  # _log(dist[row] / prior), 0 where the prior is 0, on Python floats: quicker for k values
+            ratios = [d / p if p > 0 else 0.0 for d, p in zip(self.dist[row].tolist(), self.dist[0].tolist())]
+            logp = self._logp[row] = np.array([math.log(q) if q > 0 else NEG_INF for q in ratios])
+        return logp
 
 
 def _counts(name, a, shape):
@@ -155,10 +177,11 @@ class TrigramModel:
             p3 = np.where(hist2[:, :, None] > 0, self.tri / hist2[:, :, None], p2)
         self.trans = l1 * p1 + l2 * p2 + l3 * p3
         self.log_trans = _log(self.trans)
+        self.log_trans_rows = self.log_trans.tolist()  # what viterbi reads, as Python floats
         self.log_emit = _log(self.emit / uni)
         self.log_uniform = np.full(k, math.log(1.0 / k))  # no suffix data at all: uninformative
 
-        rare = np.flatnonzero(self.freq <= suffix_max_freq)
+        rare = np.flatnonzero(self.freq <= suffix_max_freq).tolist()
         upper = [i for i in rare if self.forms[i][0].isupper()]
         lower = [i for i in rare if not self.forms[i][0].isupper()]
         self.trie_upper, self.trie_lower = (
@@ -240,9 +263,22 @@ def _count(corpus, tagset):
 def viterbi(model, tokens, beam=1000.0):
     """Highest-probability tag sequence (trigram transitions x emissions).
 
-    Log-space DP over (previous, current) tag states.  With beam factor
-    B > 0, states scoring below best - ln(B) are pruned at each position;
-    beam = 0 decodes exactly.  Score ties resolve to the lowest tag indices.
+    Log-space DP over (previous, current) tag states that expands only the
+    states that survive: each surviving state at position i-1 is extended
+    by every tag whose emission of token i is nonzero, scoring
+    (score + log_trans) + emission in that order, so each position costs
+    survivors x k additions at most.  With beam factor B > 0, states scoring
+    below best - ln(B) are dropped at each position, the first included;
+    beam = 0 keeps every state of nonzero probability, which is up to k^2
+    states a position and slower than a dense numpy step for large k.
+
+    Ties resolve to the lowest tag indices: survivors are extended in
+    ascending (previous, current) order, a state keeps its first best
+    predecessor, and the final state is the lowest (previous, current) pair
+    of the best score.  When no state of nonzero probability survives a
+    position (every path has probability 0, or every path through the
+    beam), all scores tie at -inf and the result is the lexicographically
+    first sequence, the first tag at every position.
     """
     if not tokens:
         raise ValueError("viterbi: empty sentence")
@@ -251,38 +287,36 @@ def viterbi(model, tokens, beam=1000.0):
     check_tokens(tokens)
     tags = model.tagset
     k = len(tags)
-    lt0, lt1, lt = model.log_trans[k, k], model.log_trans[k, :k], model.log_trans[:k, :k]
-    emis = [model.emission_logps(w) for w in tokens]
+    lt = model.log_trans_rows
     cut = math.log(beam) if beam > 0 else None
 
-    def prune(v):
-        if cut is None:
-            return v
-        best = v.max()
-        if best == NEG_INF:
-            return v
-        with np.errstate(invalid="ignore"):
-            return np.where(v >= best - cut, v, NEG_INF)
+    # (t_{i-1}, t_i) -> score; before position 0 both tags are the boundary k,
+    # and 0.0 + log_trans is log_trans exactly
+    states = {(k, k): 0.0}
+    backs = []  # per position: (t_{i-1}, t_i) -> t_{i-2}
+    for word in tokens:
+        emis = [(c, x) for c, x in enumerate(model.emission_logps(word).tolist()) if x > NEG_INF]
+        scores, back = {}, {}
+        for (a, b), s in sorted(states.items()):
+            row = lt[a][b]
+            for c, x in emis:
+                score = (s + row[c]) + x
+                if score > scores.get((b, c), NEG_INF):
+                    scores[b, c] = score
+                    back[b, c] = a
+        if not scores:
+            return [tags[0]] * len(tokens)
+        if cut is not None and len(scores) > 1:
+            floor = max(scores.values()) - cut
+            scores = {state: s for state, s in scores.items() if s >= floor}
+        states = scores
+        backs.append(back)
 
-    scores0 = prune(lt0 + emis[0])
-    if len(tokens) == 1:
-        return [tags[int(np.argmax(scores0))]]
-
-    # V[c_prev, c_cur] after position i; backpointers give the tag two back
-    with np.errstate(invalid="ignore"):
-        v = prune((scores0[:, None] + lt1) + emis[1][None, :])
-        backs = []
-        for i in range(2, len(tokens)):
-            cand = (v[:, :, None] + lt) + emis[i][None, None, :]
-            backs.append(np.argmax(cand, axis=0))
-            v = prune(np.max(cand, axis=0))
-
-    flat = int(np.argmax(v))
-    prev, cur = divmod(flat, k)
-    rev = [cur, prev]
-    for bp in reversed(backs):
-        prev, cur = int(bp[prev, cur]), prev
-        rev.append(prev)
+    prev, cur = max(sorted(states), key=states.__getitem__)  # max keeps the first of equals
+    rev = [cur]
+    for back in reversed(backs[1:]):
+        prev, cur = back[prev, cur], prev
+        rev.append(cur)
     return [tags[i] for i in reversed(rev)]
 
 

@@ -1,12 +1,14 @@
-"""Test oracles: per-step LSTM references, independent of the fused nodes,
-and the dictionary-based TnT model that the count-array model replaced."""
+"""Test oracles: per-step LSTM references, independent of the fused nodes;
+the dictionary-based TnT model that the count-array model replaced; and the
+two Viterbi decoders that the survivor-only one is checked against."""
 
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 
-from seqtag.tnt import BOUNDARY
+from seqtag.tnt import BOUNDARY, NEG_INF
 
 
 def _sig(x):
@@ -221,3 +223,69 @@ class ReferenceTnt:
     def emission_logp(self, word, tag):
         p = self.emission(word, tag)
         return math.log(p) if p > 0.0 else -math.inf
+
+
+def brute_force_viterbi(model, tokens):
+    """Exhaustive search over the scalar API, tabulated once, with the same
+    accumulation order; ties, and sentences where every path scores -inf,
+    keep the lexicographically first sequence of tag indices."""
+    tags = model.tagset
+    hist = [BOUNDARY] + tags
+    trans = {(a, b, c): model.transition_logp(a, b, c) for a in hist for b in hist for c in tags}
+    emis = [{t: model.emission_logp(w, t) for t in tags} for w in tokens]
+    best = None
+    best_seq = None
+    for seq in itertools.product(tags, repeat=len(tokens)):
+        s = 0.0
+        t1, t2 = BOUNDARY, BOUNDARY
+        for i, t3 in enumerate(seq):
+            s = (s + trans[t1, t2, t3]) + emis[i][t3]
+            t1, t2 = t2, t3
+        if best_seq is None or s > best:
+            best, best_seq = s, seq
+    return list(best_seq)
+
+
+def reference_viterbi(model, tokens, beam=1000.0):
+    """The dense decoder the survivor-only one replaced: every (previous,
+    current) state scored at every position with numpy, pruned states set
+    to -inf.  It gains one rule, the survivor-only decoder's: when no path
+    of nonzero probability survives, the result is the first tag everywhere
+    (the dense backtrack returned an arbitrary path then)."""
+    tags = model.tagset
+    k = len(tags)
+    lt0, lt1, lt = model.log_trans[k, k], model.log_trans[k, :k], model.log_trans[:k, :k]
+    emis = [model.emission_logps(w) for w in tokens]
+    cut = math.log(beam) if beam > 0 else None
+
+    def prune(v):
+        if cut is None:
+            return v
+        best = v.max()
+        if best == NEG_INF:
+            return v
+        with np.errstate(invalid="ignore"):
+            return np.where(v >= best - cut, v, NEG_INF)
+
+    scores0 = prune(lt0 + emis[0])
+    if len(tokens) == 1:
+        return [tags[int(np.argmax(scores0))]]
+
+    # V[c_prev, c_cur] after position i; backpointers give the tag two back
+    with np.errstate(invalid="ignore"):
+        v = prune((scores0[:, None] + lt1) + emis[1][None, :])
+        backs = []
+        for i in range(2, len(tokens)):
+            cand = (v[:, :, None] + lt) + emis[i][None, None, :]
+            backs.append(np.argmax(cand, axis=0))
+            v = prune(np.max(cand, axis=0))
+    if v.max() == NEG_INF:
+        return [tags[0]] * len(tokens)
+
+    flat = int(np.argmax(v))
+    prev, cur = divmod(flat, k)
+    rev = [cur, prev]
+    for bp in reversed(backs):
+        prev, cur = int(bp[prev, cur]), prev
+        rev.append(prev)
+    return [tags[i] for i in reversed(rev)]

@@ -1,8 +1,11 @@
 """CoNLL-U ingestion, corruption, subsampling, statistics."""
 
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtag.autodiff import Rng
 from seqtag.corpus import (
@@ -121,6 +124,59 @@ class TestTwoColumn:
         p.write_text("a\tX\tExtra\n", encoding="utf-8")
         with pytest.raises(DataError, match=r":1:"):
             read_twocol(str(p))
+
+
+class TestSentence:
+    @pytest.mark.parametrize(
+        "forms,tags,message",
+        [
+            (["a", None], ["X", "Y"], "form 1 is None, not a string"),
+            (["a", 7], ["X", "Y"], "form 1 is 7, not a string"),
+            (["a", "b"], [None, "Y"], "tag 0 is None, not a string"),
+            (["a", ""], ["X", "Y"], "form 1 is empty"),
+        ],
+    )
+    def test_bad_form_or_tag_names_source_and_position(self, forms, tags, message):
+        with pytest.raises(DataError, match=f"^built.conllu:3-4: {message}$"):
+            Sentence(forms, tags, "built.conllu:3-4")
+
+    def test_train_on_a_non_string_never_gets_past_the_sentence(self):
+        # both taggers used to fail later with a bare TypeError
+        with pytest.raises(DataError, match="^sentence: form 1 is None"):
+            Corpus([Sentence(["a", None], ["X", "Y"])])
+
+
+@pytest.mark.parametrize("writer", [write_conllu, write_twocol])
+@pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+@pytest.mark.parametrize("field", ["form", "tag"])
+def test_writers_reject_tabs_and_line_breaks(tmp_path, writer, bad, field):
+    forms, tags = ["ok", "ok"], ["X", "Y"]
+    (forms if field == "form" else tags)[1] = bad
+    corpus = Corpus([Sentence(["fine"], ["X"]), Sentence(forms, tags)])
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=re.escape(f"sentence 1: {field} 1 is {bad!r}")):
+        writer(corpus, str(path))
+    assert not path.exists()  # nothing written
+
+
+_TEXT = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")
+
+
+@st.composite
+def _corpora(draw):
+    """Corpora of non-ASCII forms and tags that hold no tab or line break."""
+    token = st.tuples(st.text(_TEXT, min_size=1, max_size=6), st.text(_TEXT, max_size=4))
+    sents = draw(st.lists(st.lists(token, min_size=1, max_size=5), min_size=1, max_size=5))
+    return Corpus([Sentence([f for f, _ in s], [t for _, t in s]) for s in sents])
+
+
+@pytest.mark.parametrize("writer,reader", [(write_conllu, read_conllu), (write_twocol, read_twocol)])
+@settings(max_examples=60, deadline=None)
+@given(corpus=_corpora())
+def test_write_then_read_round_trips(tmp_path_factory, writer, reader, corpus):
+    path = str(tmp_path_factory.mktemp("rt") / "c.txt")
+    writer(corpus, path)
+    assert reader(path) == corpus
 
 
 def _chain_corpus(n_sents=40, len_=5):

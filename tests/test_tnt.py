@@ -14,25 +14,7 @@ from seqtag.corpus import Corpus, Sentence
 from seqtag.synthetic import make_suffix_corpus
 from seqtag.tnt import BOUNDARY, SuffixTrie, load_hmm, save_hmm, train_hmm, viterbi
 
-from reference import ReferenceTnt
-
-
-def brute_force_viterbi(model, tokens):
-    """Exhaustive search with the same scoring and accumulation order."""
-    tags = model.tagset
-    best = None
-    best_seq = None
-    for seq in itertools.product(range(len(tags)), repeat=len(tokens)):
-        s = 0.0
-        t1, t2 = BOUNDARY, BOUNDARY
-        for i, ti in enumerate(seq):
-            s = (s + model.transition_logp(t1, t2, tags[ti])) + model.emission_logp(
-                tokens[i], tags[ti]
-            )
-            t1, t2 = t2, tags[ti]
-        if best_seq is None or s > best:
-            best, best_seq = s, seq
-    return [tags[i] for i in best_seq]
+from reference import ReferenceTnt, brute_force_viterbi, reference_viterbi
 
 
 def _random_corpus(rng, n_sents=30, tags=("A", "B", "C", "D"), n_words=12):
@@ -85,6 +67,8 @@ class TestViterbiOracle:
         model = train_hmm(train_c)
         for sent in test_c.sentences[:25]:
             assert viterbi(model, sent.forms, beam=1000.0) == viterbi(model, sent.forms, beam=0)
+            for beam in (0, 2, 1000.0):
+                assert viterbi(model, sent.forms, beam) == reference_viterbi(model, sent.forms, beam)
 
     def test_bad_beam_rejected(self):
         model = train_hmm(_random_corpus(Rng(6)))
@@ -92,6 +76,76 @@ class TestViterbiOracle:
             viterbi(model, ["w1"], beam=0.5)
         with pytest.raises(ValueError):
             viterbi(model, [], beam=0)
+
+    def test_ties_resolve_as_in_the_dense_decoder(self):
+        # one form, so emissions hardly separate the paths and many scores tie
+        # exactly; the beam keeps states whose insertion order is not
+        # ascending, and only visiting them in (prev, cur) order breaks the
+        # ties toward the lowest previous tag, as the dense argmax does
+        tags = ["BCABA", "A", "CBBAC", "ACC"]
+        model = train_hmm(Corpus([Sentence(["a"] * len(t), list(t)) for t in tags]))
+        tokens = ["a", "zz", "zz", "a", "a", "a", "a"]
+        assert viterbi(model, tokens, 2) == list("ACACBAC") == reference_viterbi(model, tokens, 2)
+
+    def test_random_tie_heavy_models_match_the_dense_decoder(self):
+        rng = Rng(23)
+        for _ in range(300):
+            k, n_words = 2 + rng.below(3), 1 + rng.below(3)
+            sents = []
+            for _ in range(1 + rng.below(4)):
+                n = 1 + rng.below(5)
+                forms = ["abc"[rng.below(n_words)] for _ in range(n)]
+                sents.append(Sentence(forms, ["ABCD"[rng.below(k)] for _ in range(n)]))
+            model = train_hmm(Corpus(sents))
+            for _ in range(4):
+                tokens = [("a", "b", "c", "zz")[rng.below(n_words + 1)] for _ in range(3 + rng.below(6))]
+                for beam in (0, 2, 1000.0):
+                    assert viterbi(model, tokens, beam) == reference_viterbi(model, tokens, beam), (tokens, beam)
+
+    def test_zero_probability_sentence_takes_the_first_tag_everywhere(self):
+        # only bigram estimates count (lambdas 0, 1, 0) and A never follows A;
+        # 'Qa' can only be A, so every path through it has probability 0
+        corpus = Corpus([Sentence(["ab", "b"], ["B", "A"]), Sentence(["a", "b"], ["B", "A"]), Sentence(["b"], ["B"])])
+        model = train_hmm(corpus)
+        assert model.lambdas == (0.0, 1.0, 0.0)
+        tokens = ["ab", "c", "c", "Qa", "a", "a"]
+        assert brute_force_viterbi(model, tokens) == ["A"] * 6
+        for beam in (0, 2, 1000.0):
+            assert viterbi(model, tokens, beam) == ["A"] * 6 == reference_viterbi(model, tokens, beam)
+
+    def test_zero_probability_sentences_of_random_models(self):
+        # corpora whose tags cycle through the tagset often give the
+        # unigram weight 0, and then some sentences have no path of nonzero
+        # probability; collect several and check all three decoders on them
+        rng, found = Rng(17), 0
+        for _ in range(3000):
+            k = 2 + rng.below(3)
+            sents = []
+            for _ in range(1 + rng.below(5)):
+                n, t = 1 + rng.below(6), rng.below(k)
+                forms = [("a", "b", "ab")[rng.below(3)] for _ in range(n)]
+                sents.append(Sentence(forms, ["ABCD"[(t + i) % k] for i in range(n)]))
+            model = train_hmm(Corpus(sents))
+            tokens = [("a", "b", "ab", "zz")[rng.below(4)] for _ in range(2 + rng.below(3))]
+            best = brute_force_viterbi(model, tokens)
+            if _path_score(model, tokens, best) > -math.inf:
+                continue
+            found += 1
+            assert best == [model.tagset[0]] * len(tokens)
+            for beam in (0, 2, 1000.0):
+                assert viterbi(model, tokens, beam) == reference_viterbi(model, tokens, beam), (tokens, beam)
+            assert viterbi(model, tokens, 0) == [model.tagset[0]] * len(tokens)
+            if found == 10:
+                break
+        assert found == 10
+
+
+def _path_score(model, tokens, tags):
+    s, t1, t2 = 0.0, BOUNDARY, BOUNDARY
+    for form, t3 in zip(tokens, tags):
+        s = (s + model.transition_logp(t1, t2, t3)) + model.emission_logp(form, t3)
+        t1, t2 = t2, t3
+    return s
 
 
 class TestDeletedInterpolation:
@@ -363,3 +417,36 @@ class TestAgainstReference:
             assert exact == brute_force_viterbi(model, tokens), tokens
             assert viterbi(clone, tokens, beam=0) == exact
             assert clone.predict(tokens) == model.predict(tokens)
+
+
+@st.composite
+def _decoder_cases(draw):
+    """(model, test sentences) on 1-6 tags.  Most training tags follow a
+    drawn successor map, so the interpolation sometimes gives the unigram
+    weight 0 and some test sentences have no path of nonzero probability."""
+    tags = draw(st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=6, unique=True))
+    successor = draw(st.lists(st.sampled_from(tags), min_size=len(tags), max_size=len(tags)))
+    follow = dict(zip(tags, successor))
+    vocab = draw(st.lists(_FORMS, min_size=1, max_size=6, unique=True))
+    sents = []
+    for _ in range(draw(st.integers(1, 6))):
+        seq = [tags[0]]
+        for _ in range(draw(st.integers(0, 5))):
+            seq.append(follow[seq[-1]])
+        if draw(st.integers(0, 3)) == 3:  # break the pattern at one position
+            seq[draw(st.integers(0, len(seq) - 1))] = draw(st.sampled_from(tags))
+        sents.append(Sentence([draw(st.sampled_from(vocab)) for _ in seq], seq))
+    words = st.sampled_from(vocab + ["zz", "Éa"])
+    test = draw(st.lists(st.lists(words, min_size=1, max_size=4), min_size=1, max_size=3))
+    return train_hmm(Corpus(sents)), test
+
+
+class TestDecoderAgainstOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(_decoder_cases())
+    def test_equals_dense_decoder_and_brute_force(self, case):
+        model, test = case
+        for tokens in test:
+            for beam in (0, 1.5, 2, 1000.0):
+                assert viterbi(model, tokens, beam) == reference_viterbi(model, tokens, beam), (tokens, beam)
+            assert viterbi(model, tokens, 0) == brute_force_viterbi(model, tokens), tokens

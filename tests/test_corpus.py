@@ -136,14 +136,11 @@ class TestSentence:
             (["a", ""], ["X", "Y"], "form 1 is empty"),
         ],
     )
-    def test_bad_form_or_tag_names_source_and_position(self, forms, tags, message):
-        with pytest.raises(DataError, match=f"^built.conllu:3-4: {message}$"):
-            Sentence(forms, tags, "built.conllu:3-4")
-
-    def test_train_on_a_non_string_never_gets_past_the_sentence(self):
-        # both taggers used to fail later with a bare TypeError
-        with pytest.raises(DataError, match="^sentence: form 1 is None"):
-            Corpus([Sentence(["a", None], ["X", "Y"])])
+    @pytest.mark.parametrize("source,where", [("built.conllu:3-4", "built.conllu:3-4"), ("", "sentence")])
+    def test_bad_form_or_tag_names_source_and_position(self, forms, tags, message, source, where):
+        # a non-string used to reach the taggers, which failed with a bare TypeError
+        with pytest.raises(DataError, match=f"^{where}: {message}$"):
+            Sentence(forms, tags, source)
 
 
 @pytest.mark.parametrize("writer", [write_conllu, write_twocol])

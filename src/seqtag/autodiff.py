@@ -10,7 +10,7 @@ node kinds the taggers record.  Besides parameter leaves there are eight:
   lookup    embedding-table rows, with a sparse row gradient
   xent      summed softmax cross-entropy, one gold class per row
   noise     additive Gaussian noise, identity gradient
-  lstm_seq  a whole LSTM run over a padded batch (recurrent.py)
+  lstm_seq  a whole LSTM run over table rows picked by ids (recurrent.py)
 
 The ops that carry a sentence take a matrix with one row per token, so a
 sentence records a few nodes, not a few per token.  Everything runs in
@@ -193,9 +193,24 @@ class Tape:
     aux carries whatever the backward rule needs (input values, cached
     activations).  Parent ids are None for constants, which receive no
     gradient.  Topological order is construction order.
+
+    A training loop reuses one tape: `reset()` empties it for the next
+    sentence but keeps the dense gradient buffers of its parameter leaves,
+    which the next backward zeroes and fills instead of allocating fresh
+    pages.
     """
 
     def __init__(self):
+        self.grads = None
+        self._spare = {}  # id(Parameter) -> dense gradient buffer kept by reset()
+        self.reset()
+
+    def reset(self):
+        """Forget every node; arrays that grad() returned are reused after this."""
+        if self.grads is not None:
+            for param_id, node in self._leaves.items():
+                if isinstance(self.grads[node], np.ndarray):
+                    self._spare[param_id] = self.grads[node]
         self.kinds = []
         self.parents = []
         self.values = []
@@ -224,13 +239,31 @@ class Tape:
 
     # gradient buffers ----------------------------------------------------
 
+    def _buffer(self, node):
+        """An uninitialized dense array of the node's shape: for a parameter
+        leaf the buffer reset() kept, if any."""
+        shape = self.values[node].shape
+        g = self._spare.pop(id(self.aux[node]), None) if self.kinds[node] == "leaf" else None
+        return g if g is not None and g.shape == shape else np.empty(shape)
+
     def gbuf(self, node):
         """Dense gradient buffer for a node, zero-initialized on first use."""
         g = self.grads[node]
         if g is None:
-            g = np.zeros(self.values[node].shape)
+            g = self._buffer(node)
+            g.fill(0.0)
             self.grads[node] = g
         return g
+
+    def acc_matmul(self, node, a, b):
+        """Add a @ b to a node's dense gradient.  The first product is written
+        straight into the buffer, so no temporary of its size is made."""
+        if node is None:
+            return
+        if self.grads[node] is None:
+            self.grads[node] = np.matmul(a, b, out=self._buffer(node))
+        else:
+            self.grads[node] += a @ b
 
     def sbuf(self, node):
         """Sparse row-gradient buffer for a table leaf."""
@@ -319,9 +352,7 @@ def _bw_affine(tape, i, g):
     pw, px, pb = tape.parents[i]
     wv, xv = tape.aux[i]
     g2 = g.reshape(-1, g.shape[-1])
-    if pw is not None:
-        tape.gbuf(pw)
-        tape.grads[pw] += g2.T @ xv.reshape(g2.shape[0], -1)
+    tape.acc_matmul(pw, g2.T, xv.reshape(g2.shape[0], -1))
     if px is not None:
         tape.gbuf(px)
         tape.grads[px] += (g2 @ wv).reshape(xv.shape)
@@ -460,7 +491,8 @@ def sgd_step(params, grads, lr):
     """p <- p - lr * grad(p) for every parameter; clears `grads`.
 
     `grads` maps parameter name to a dense array or SparseRows, as produced
-    by Tape.gradients().
+    by Tape.gradients().  A dense gradient is scaled by lr in place, so the
+    update allocates no temporary of the parameter's size.
     """
     for p in params:
         if p.name not in grads:
@@ -470,7 +502,8 @@ def sgd_step(params, grads, lr):
             for row, vec in g.rows.items():
                 p.v[row] -= lr * vec
         else:
-            p.v -= lr * g
+            g *= lr
+            p.v -= g
     grads.clear()
 
 

@@ -122,6 +122,8 @@ def _read_columns(path, n_cols, form_col, tag_col, conllu, split, language):
                     continue  # multiword range / empty node
                 if cols[form_col] == "":
                     raise DataError(f"{path}:{lineno}: empty FORM")
+                if cols[tag_col] == "":
+                    raise DataError(f"{path}:{lineno}: empty tag")
                 if not forms:
                     start_line = lineno
                 forms.append(cols[form_col])
@@ -136,20 +138,33 @@ def read_conllu(path, split="train", language=""):
     return _read_columns(path, 10, 1, 3, True, split, language)
 
 
+def _fault(text):
+    """Why text cannot be written as a form or tag, or None."""
+    if "\t" in text or "\n" in text or "\r" in text:
+        return "holds a tab or line break"  # it would split its line or column
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "holds a lone surrogate, not encodable in UTF-8"
+    return None
+
+
 def _check_writable(corpus):
-    """ValueError naming the first form or tag that holds a tab or a line
-    break: written, it would split its line or column."""
+    """ValueError naming the first form or tag that would not read back: an
+    empty tag, or text that _fault rejects."""
     for i, sent in enumerate(corpus):
+        if "" in sent.tags:
+            raise ValueError(f"sentence {i}: tag {sent.tags.index('')} is empty")
         for name, items in (("form", sent.forms), ("tag", sent.tags)):
-            text = "".join(items)
-            if "\t" in text or "\n" in text or "\r" in text:
-                k = next(k for k, x in enumerate(items) if "\t" in x or "\n" in x or "\r" in x)
-                raise ValueError(f"sentence {i}: {name} {k} is {items[k]!r}, which holds a tab or line break")
+            if _fault("".join(items)):
+                k = next(k for k, x in enumerate(items) if _fault(x))
+                raise ValueError(f"sentence {i}: {name} {k} is {items[k]!r}, which {_fault(items[k])}")
 
 
 def write_conllu(corpus, path):
     """Emit forms and UPOS tags; every other column is '_'.  ValueError,
-    before anything is written, for a form or tag with a tab or line break."""
+    before the file is opened, for a form or tag that would not read back
+    (see _check_writable)."""
     _check_writable(corpus)
     with open(path, "w", encoding="utf-8") as fh:
         for sent in corpus:

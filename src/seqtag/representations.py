@@ -16,8 +16,11 @@ per token.  The word rows come from one table lookup.  Each subword
 encoder pads the sentence's symbol sequences to the longest one (with the
 end marker, which no state ever reads) and runs its forward and reverse
 LSTMs over all words as one batch, so a sentence costs as many recurrent
-steps as its longest word has symbols, not the sum over its words.  Row k
-equals the encoding of word k on its own.
+steps as its longest word has symbols, not the sum over its words.  The
+LSTMs take the embedding table and the symbol ids themselves, so one GEMM
+projects every distinct input row: a sentence's few dozen distinct symbols,
+not its hundred-odd character positions.  Row k equals the encoding of word
+k on its own.
 
 Pretrained word embeddings are read into a {token: vector} map before the
 model is built, and the file's width becomes the word table's width.
@@ -135,7 +138,7 @@ class Subword:
 
     def encode(self, words, tape=None):
         ids, lengths = self.ids(words)
-        return birnn_seq(self.fwd, self.rev, lookup_row(tape, self.table, ids), lengths, tape)
+        return birnn_seq(self.fwd, self.rev, self.table, lengths, tape, ids=ids)
 
 
 class TokenEncoder:

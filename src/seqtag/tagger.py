@@ -42,6 +42,11 @@ class DivergenceError(RuntimeError):
         self.sentence_index = sentence_index
 
 
+def _finite(value):
+    """A finite int or float (a bool is neither here)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class Hyperparams:
     """Training and model settings; a saved model keeps them in its header.
@@ -62,11 +67,16 @@ class Hyperparams:
     pretrained_path: str = None
 
     def __post_init__(self):
-        for name in ("lr", "epochs", "word_dim", "subtoken_dim", "hidden_dim"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"hyperparameter {name} must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        for name in ("epochs", "seed", "word_dim", "subtoken_dim", "hidden_dim"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"hyperparameter {name} must be an int, got {value!r}")
+            if value <= 0 and name != "seed":
+                raise ValueError(f"hyperparameter {name} must be positive, got {value}")
+        if not _finite(self.lr) or self.lr <= 0:
+            raise ValueError(f"hyperparameter lr must be a finite positive number, got {self.lr!r}")
+        if not _finite(self.sigma) or self.sigma < 0:
+            raise ValueError(f"hyperparameter sigma must be a finite nonnegative number, got {self.sigma!r}")
         if self.repr_mode not in REPR_MODES:
             raise ValueError(f"unknown representation mode {self.repr_mode!r}")
         if self.pretrained_path is not None and "w" not in self.repr_mode:
@@ -203,12 +213,13 @@ def train(train_corpus, hp, dev_corpus=None):
     shuffle_rng = rng.child(2)
     params = model.parameters()
     sentences = train_corpus.sentences
+    tape = Tape()  # reset per sentence: its gradient buffers live as long as this call
     for epoch in range(hp.epochs):
         order = list(range(len(sentences)))
         shuffle_rng.shuffle(order)
         total = 0.0
         for idx in order:
-            tape = Tape()
+            tape.reset()
             loss = sentence_loss(model, sentences[idx], tape, train_rng, training=True)
             value = float(loss.v)
             if not math.isfinite(value):

@@ -1,5 +1,6 @@
-"""Test oracles: per-step LSTM references, independent of the fused nodes;
-the dictionary-based TnT model that the count-array model replaced; and the
+"""Test oracles: per-step LSTM references, independent of the fused nodes,
+and the gathered (B, T, D) form of a run over table rows; the
+dictionary-based TnT model that the count-array model replaced; and the
 two Viterbi decoders that the survivor-only one is checked against."""
 
 import itertools
@@ -82,6 +83,27 @@ def reference_grads(cell, xs, dhs):
         dxs[t] = wx.T @ da
         dh_next = wh.T @ da
     return dwx, dwh, db, dxs
+
+
+def reference_table_run(cell, table, ids, lengths, reverse, g):
+    """A run over rows of a table in the gathered form: the (B, T, D) batch
+    table[ids], each row consumed step by step by the per-step reference.
+
+    g (B, T, H) is the loss gradient reaching the states.  Returns the
+    (B, T, H) states, zero at padding, and (dW_x, dW_h, db, dtable): a table
+    row read at several positions sums their input gradients.
+    """
+    x = table[ids]
+    out = np.zeros(ids.shape + (cell.hidden_dim,))
+    grads = [np.zeros_like(p.v) for p in cell.parameters()] + [np.zeros_like(table)]
+    for b, n in enumerate(lengths):
+        order = np.arange(n)[::-1] if reverse else np.arange(n)
+        out[b, order] = reference_states(cell, x[b, order])
+        dwx, dwh, db, dxs = reference_grads(cell, x[b, order], g[b, order])
+        for acc, part in zip(grads, (dwx, dwh, db)):
+            acc += part
+        np.add.at(grads[3], ids[b, order], np.array(dxs))
+    return out, grads
 
 
 # TnT ------------------------------------------------------------------------

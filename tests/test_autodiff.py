@@ -138,6 +138,53 @@ class TestBackward:
         assert taped.v == plain.v
 
 
+class TestTapeReset:
+    @staticmethod
+    def _loss(tape, w, b, x, gold):
+        return softmax_xent(tape, affine(tape, w, x, b), gold)
+
+    def test_reused_tape_gives_a_fresh_tapes_gradients_in_its_old_buffers(self):
+        rng = Rng(8)
+        w, b = Parameter("w", glorot(rng, 3, 4)), Parameter("b", rng.normal(3, 0.1))
+        xs = [rng.normal((2, 4)), rng.normal((5, 4))]
+        tape = Tape()
+        tape.backward(self._loss(tape, w, b, xs[0], [0, 2]))
+        first = tape.grad(w)
+        tape.reset()
+        assert len(tape) == 0 and tape.grads is None
+        tape.backward(self._loss(tape, w, b, xs[1], [1, 1, 0, 2, 2]))
+        fresh = Tape()
+        fresh.backward(self._loss(fresh, w, b, xs[1], [1, 1, 0, 2, 2]))
+        assert tape.grad(w) is first  # no new buffer, and nothing left of the first sentence
+        np.testing.assert_array_equal(tape.grad(w), fresh.grad(w))
+        np.testing.assert_array_equal(tape.grad(b), fresh.grad(b))
+
+    def test_interleaved_tapes_keep_their_own_gradients(self):
+        rng = Rng(10)
+        w, b = Parameter("w", glorot(rng, 3, 2)), Parameter("b", np.zeros(3))
+        tapes = [Tape(), Tape()]
+        for step in range(3):
+            xs = [rng.normal((1 + k, 2)) for k in range(2)]
+            for tape, x in zip(tapes, xs):
+                tape.reset()
+                tape.backward(self._loss(tape, w, b, x, [step] * len(x)))
+            for tape, x in zip(tapes, xs):
+                fresh = Tape()
+                fresh.backward(self._loss(fresh, w, b, x, [step] * len(x)))
+                np.testing.assert_array_equal(tape.grad(w), fresh.grad(w))
+        assert tapes[0].grad(w) is not tapes[1].grad(w)
+
+    def test_gradients_outlive_backward_until_reset(self):
+        w, b, x = Parameter("w", np.ones((2, 3))), Parameter("b", np.zeros(2)), np.ones((1, 3))
+        tape = Tape()
+        tape.backward(self._loss(tape, w, b, x, [0]))
+        first = tape.grad(w)
+        kept = first.copy()
+        tape.backward(self._loss(tape, w, b, x, [1]))  # a second sweep without reset
+        np.testing.assert_array_equal(first, kept)
+        assert tape.grad(w) is not first
+
+
 class TestSgd:
     def test_basic_update(self):
         p = Parameter("p", np.array([1.0]))
@@ -161,6 +208,14 @@ class TestSgd:
         p = Parameter("p", np.ones(2))
         with pytest.raises(ValueError):
             sgd_step([p], {}, 0.1)
+
+    def test_dense_update_equals_p_minus_lr_g(self):
+        rng = Rng(9)
+        p = Parameter("p", rng.normal((3, 4)))
+        g = rng.normal((3, 4))
+        want = p.v - 0.3 * g
+        sgd_step([p], {"p": g.copy()}, 0.3)
+        np.testing.assert_array_equal(p.v, want)
 
     def test_clears_gradients(self):
         p = Parameter("p", np.ones(1))

@@ -156,13 +156,46 @@ def test_writers_reject_tabs_and_line_breaks(tmp_path, writer, bad, field):
     assert not path.exists()  # nothing written
 
 
+@pytest.mark.parametrize("reader,line", [
+    (read_conllu, "2\tcat\t_\t\t_\t_\t_\t_\t_\t_\n"),
+    (read_twocol, "cat\t\n"),
+], ids=["conllu", "twocol"])
+def test_empty_tag_names_the_line(tmp_path, reader, line):
+    # an empty tag used to read as "" and give a tagger the tagset [""]
+    first = "1\tdog\t_\tNOUN\t_\t_\t_\t_\t_\t_\n" if reader is read_conllu else "dog\tNOUN\n"
+    path = tmp_path / "t.txt"
+    path.write_text(first + line, encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: empty tag$"):
+        reader(str(path))
+
+
+@pytest.mark.parametrize("writer", [write_conllu, write_twocol])
+@pytest.mark.parametrize("field", ["form", "tag"])
+def test_writers_reject_lone_surrogates_before_opening_the_file(tmp_path, writer, field):
+    forms, tags = ["ok", "ok"], ["X", "Y"]
+    (forms if field == "form" else tags)[1] = "a\ud800"
+    corpus = Corpus([Sentence(["fine"], ["X"]), Sentence(forms, tags)])
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match=re.escape(f"sentence 1: {field} 1 is 'a\\ud800', which holds a lone")):
+        writer(corpus, str(path))
+    assert not path.exists()  # the first sentence used to be on disk already
+
+
+@pytest.mark.parametrize("writer", [write_conllu, write_twocol])
+def test_writers_reject_an_empty_tag(tmp_path, writer):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match="^sentence 0: tag 1 is empty$"):
+        writer(Corpus([Sentence(["a", "b"], ["X", ""])]), str(path))
+    assert not path.exists()
+
+
 _TEXT = st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")
 
 
 @st.composite
 def _corpora(draw):
-    """Corpora of non-ASCII forms and tags that hold no tab or line break."""
-    token = st.tuples(st.text(_TEXT, min_size=1, max_size=6), st.text(_TEXT, max_size=4))
+    """Corpora of non-ASCII forms and non-empty tags that hold no tab or line break."""
+    token = st.tuples(st.text(_TEXT, min_size=1, max_size=6), st.text(_TEXT, min_size=1, max_size=4))
     sents = draw(st.lists(st.lists(token, min_size=1, max_size=5), min_size=1, max_size=5))
     return Corpus([Sentence([f for f, _ in s], [t for _, t in s]) for s in sents])
 

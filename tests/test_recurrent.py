@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtag.autodiff import (
     BACKWARD,
@@ -17,7 +19,7 @@ from seqtag.autodiff import (
 )
 from seqtag.recurrent import LstmCell, birnn_ctx, birnn_seq, rnn_seq
 
-from reference import gate, reference_grads, reference_lstm_step, reference_states
+from reference import gate, reference_grads, reference_lstm_step, reference_states, reference_table_run
 
 
 def _seeded_lstm(name="lstm", input_dim=3, hidden_dim=4, seed=17):
@@ -136,6 +138,80 @@ class TestFusedGradientsAgainstReference:
         for p, w in zip(cell.parameters(), want):
             np.testing.assert_allclose(tape.grad(p), w, rtol=0, atol=1e-10)
         np.testing.assert_allclose(tape.grad(x), want_x, rtol=0, atol=1e-10)
+
+
+@st.composite
+def _table_batches(draw):
+    """(n_rows, ids, lengths, seed) of a ragged batch over a table: ids
+    repeat, some rows are never read, and padding holds arbitrary ids."""
+    n_rows = draw(st.sampled_from([1, 2, 5, 12, 258]))  # 258: the byte table
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    used = draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=4, unique=True))
+    ids = [[draw(st.sampled_from(used)) for _ in range(n)] for n in lengths]
+    pad = st.integers(0, n_rows - 1)
+    ids = np.array([row + [draw(pad) for _ in range(max(lengths) - len(row))] for row in ids])
+    return n_rows, ids, lengths, draw(st.integers(0, 2**32))
+
+
+class TestTableRows:
+    """The input as rows of a table picked by ids, against the gathered form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=_table_batches(), reverse=st.booleans())
+    def test_values_and_gradients_match_the_gathered_reference(self, batch, reverse):
+        n_rows, ids, lengths, seed = batch
+        rng = Rng(seed)
+        cell = LstmCell("lstm", 3, 4, rng)
+        table = Parameter("emb", rng.normal((n_rows, 3)))
+        g = rng.normal((ids.size, 4)).reshape(ids.shape + (4,))
+        tape = Tape()
+        out = rnn_seq(cell, table, lengths, reverse, tape, ids=ids)
+        tape.grads = [None] * len(tape)
+        BACKWARD["lstm_seq"](tape, out.node, g)
+
+        want, want_grads = reference_table_run(cell, table.v, ids, lengths, reverse, g)
+        np.testing.assert_allclose(out.v, want, rtol=0, atol=1e-12)
+        for p, w in zip(cell.parameters() + [table], want_grads):
+            np.testing.assert_allclose(tape.grad(p), w, rtol=0, atol=1e-12)
+
+    def test_one_sequence_of_ids(self):
+        cell = _seeded_lstm()
+        table = Rng(5).normal((4, 3))
+        ids = np.array([2, 0, 2, 3])
+        want = rnn_seq(cell, table[None, ids], [4]).v[0]
+        np.testing.assert_allclose(rnn_seq(cell, table, ids=ids).v, want, rtol=0, atol=1e-14)
+
+    def test_unread_rows_get_a_zero_gradient(self):
+        cell = _seeded_lstm()
+        table = Parameter("emb", Rng(6).normal((5, 3)))
+        tape = Tape()
+        out = rnn_seq(cell, table, [2, 1], True, tape, ids=np.array([[1, 3], [3, 4]]))  # row 1 pads with 4
+        loss = softmax_xent(tape, take(tape, out, (np.array([0, 0, 1]), np.array([0, 1, 0]))), [0, 1, 2])
+        tape.backward(loss)
+        grad = tape.grad(table)
+        assert grad.shape == (5, 3)
+        np.testing.assert_array_equal(grad[[0, 2, 4]], 0.0)
+        assert np.all(grad[[1, 3]] != 0.0)
+
+    def test_bad_ids_rejected(self):
+        cell, table = _seeded_lstm(), np.zeros((4, 3))
+        with pytest.raises(IndexError):
+            rnn_seq(cell, table, ids=np.array([0, 4]))
+        with pytest.raises(IndexError):
+            rnn_seq(cell, table, ids=np.array([-1, 2]))
+        with pytest.raises(ValueError):
+            rnn_seq(cell, table, ids=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            rnn_seq(cell, np.zeros((4, 5)), ids=np.array([0, 1]))
+        with pytest.raises(ValueError):
+            rnn_seq(cell, np.zeros((2, 4, 3)), ids=np.array([0, 1]))
+
+    def test_birnn_seq_over_ids_equals_the_gathered_batch(self):
+        cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
+        table = Rng(9).normal((6, 3))
+        ids, lengths = np.array([[1, 1, 5, 2], [5, 0, 0, 0]]), [4, 1]
+        want = birnn_seq(cf, cr, table[ids], lengths).v
+        np.testing.assert_allclose(birnn_seq(cf, cr, table, lengths, ids=ids).v, want, rtol=0, atol=1e-14)
 
 
 class TestBiRnn:

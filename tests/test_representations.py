@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtag.autodiff import Rng
+from seqtag.autodiff import Parameter, Rng, affine, glorot, gradient_check, softmax_xent
 from seqtag.corpus import Corpus, DataError, Sentence
 from seqtag.representations import (
     CHAR_END,
@@ -138,6 +138,20 @@ class TestComposition:
         for k, word in enumerate(words):
             np.testing.assert_allclose(out[k], enc.encode([word]).v[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(out[k], reference_subword(enc, word), rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("mode", ["c", "b"])
+    def test_table_gradient_through_encode(self, vocab, mode):
+        # repeated symbols, rows no word reads, padding; both directions share the table
+        sw = TokenEncoder(mode, vocab, 8, 3, 2, Rng(3)).subwords[0]
+        head_w = Parameter("head.W", glorot(Rng(4), 3, 4))
+        head_b = Parameter("head.b", np.zeros(3))
+        words = ["dodo", "t", "hé"]
+
+        def loss_fn(tape):
+            return softmax_xent(tape, affine(tape, head_w, sw.encode(words, tape), head_b), [0, 2, 1])
+
+        assert gradient_check(loss_fn, [sw.table], h=1e-5) < 1e-6
 
 
 class TestTokenRepr:

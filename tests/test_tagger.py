@@ -44,6 +44,22 @@ def _small_hp(**kw):
     return Hyperparams(**defaults)
 
 
+class TestHyperparams:
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 2.5), ("epochs", True), ("epochs", 0), ("seed", 1.0), ("seed", "1"),
+        ("word_dim", 4.0), ("subtoken_dim", -1), ("hidden_dim", None),
+        ("lr", math.inf), ("lr", math.nan), ("lr", 0.0), ("lr", "0.1"), ("lr", True),
+        ("sigma", math.nan), ("sigma", -math.inf), ("sigma", math.inf), ("sigma", -0.1),
+    ])
+    def test_bad_value_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"hyperparameter {field} must"):
+            _small_hp(**{field: value})
+
+    def test_edge_values_accepted(self):
+        hp = _small_hp(seed=-3, sigma=0, lr=1, epochs=1)
+        assert (hp.seed, hp.sigma, hp.lr) == (-3, 0, 1)
+
+
 class TestFreqbinLabel:
     def test_paper_anchors(self):
         # ln 1 = 0, ln 10 ~ 2.30, ln 100 ~ 4.61; int() truncates
@@ -319,6 +335,16 @@ class TestBadHeader:
     def test_old_word_dim_actual_field_is_ignored(self, tmp_path):
         path = self._rewrite(tmp_path, lambda h: h.update(word_dim_actual=h["hp"]["word_dim"]))
         assert load(path).predict(["the", "dog"])
+
+    @pytest.mark.parametrize("field,value", [("hidden_dim", 4.0), ("sigma", math.nan), ("lr", math.inf),
+                                             ("epochs", True)])
+    def test_bad_hyperparameter_names_hp(self, tmp_path, field, value):
+        from seqtag.container import ModelError
+
+        path = self._rewrite(tmp_path, lambda h: h["hp"].update({field: value}))
+        with pytest.raises(ModelError, match=f"'hp'.*{field}") as err:
+            load(path)
+        assert path in str(err.value)
 
     def test_word_table_of_another_width_names_its_shape(self, tmp_path):
         # what a file whose pretrained table was resized after building looks like

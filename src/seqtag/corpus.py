@@ -5,6 +5,10 @@ range lines (ID like "3-4") and empty nodes (ID like "5.1") are skipped so
 sentences contain syntactic words only.  A two-column "form<TAB>tag" reader
 is provided for WSJ-style data.  All files are UTF-8; a line that is not
 raises DataError naming it.
+
+The readers intern within one file: every occurrence of a form (or tag)
+is the same string object, so a corpus holds one string per type, not per
+token, and each one's hash is computed once and cached on it.
 """
 
 import logging
@@ -101,8 +105,10 @@ def not_utf8(path):
 def _read_columns(path, n_cols, form_col, tag_col, conllu, split, language):
     """One token per line in n_cols tab-separated columns, a blank line after
     each sentence.  With conllu, comment lines, multiword-token ranges and
-    empty nodes are skipped."""
+    empty nodes are skipped.  Equal forms and equal tags are one shared
+    string object."""
     sentences, forms, tags = [], [], []
+    shared = {}.setdefault  # one string object per distinct form or tag of this file
     with open_text(path) as fh:
         try:
             # the extra blank line ends a last sentence that has none
@@ -120,14 +126,15 @@ def _read_columns(path, n_cols, form_col, tag_col, conllu, split, language):
                     raise DataError(f"{path}:{lineno}: expected {n_cols} columns, got {len(cols)}")
                 if conllu and ("-" in cols[0] or "." in cols[0]):
                     continue  # multiword range / empty node
-                if cols[form_col] == "":
+                form, tag = cols[form_col], cols[tag_col]
+                if not form:
                     raise DataError(f"{path}:{lineno}: empty FORM")
-                if cols[tag_col] == "":
+                if not tag:
                     raise DataError(f"{path}:{lineno}: empty tag")
                 if not forms:
                     start_line = lineno
-                forms.append(cols[form_col])
-                tags.append(cols[tag_col])
+                forms.append(shared(form, form))
+                tags.append(shared(tag, tag))
         except UnicodeDecodeError:
             raise not_utf8(path) from None
     return Corpus(sentences, split, language)

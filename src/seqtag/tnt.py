@@ -8,6 +8,13 @@ derives everything else from them: lower-order counts, interpolation
 weights, theta, the log-probability tables and the suffix tries.  A saved
 model holds nothing else, so a loaded one cannot disagree with itself.
 
+Everything is counted on integer codes.  `train_hmm` takes the tagset, the
+forms in first-occurrence order and every token's tag and form id from
+whole-corpus passes that run in C (the readers hand it one string object
+per type, so each hash is computed once), then fills each count array with
+one bincount.  A suffix trie is built from the code points of its words,
+one np.unique per suffix length, and is walked by integer keys.
+
 Transitions are trigram relative frequencies smoothed by deleted
 interpolation; emissions are maximum-likelihood word-given-tag
 probabilities for known words, and a Bayes inversion of case-split suffix
@@ -42,6 +49,7 @@ their unknown words untaggable.
 
 import itertools
 import math
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -62,55 +70,79 @@ def _log(p):
     return out
 
 
+_CODE_POINTS = 0x110000  # a trie key is parent row * _CODE_POINTS + code point
+
+
 class SuffixTrie:
     """Tag distributions conditioned on word suffixes, recursively smoothed.
 
-    `index` maps each suffix of a training word (up to max_len characters,
-    '' included) to a row of `dist`, which is equivalent to a
-    reversed-character trie.  Rows are numbered shortest suffix first, so
-    the root '' is row 0 and every row comes after its parent (the suffix
-    minus its first character).  Row distributions are blended with their
-    parent: P(t|s_1..i) = (ML(t|s_1..i) + theta * P(t|s_2..i)) / (1 +
-    theta), rooted at the ML distribution of the whole training population
-    for this trie.  A query returns the row's Bayes-inverted emissions
-    log(P(t|suffix) / P(t)), -inf for tags outside the population, computed
-    on the row's first query and kept.
+    A trie over the training words read backwards, at most max_len
+    characters deep, built on integer codes: one array holds the code
+    points of every word (UTF-32, lone surrogates kept by surrogatepass),
+    and the nodes at depth n are the distinct (parent row, n-th code point
+    from the end) keys of the words at least n characters long, found by
+    np.unique.  Row i of `dist` is one suffix.  Rows are numbered shortest
+    suffix first, so the root '' is row 0 and every row comes after its
+    parent (the suffix minus its first character).  `children` maps parent
+    row * 0x110000 + code point to the child's row; a query walks it down
+    from the root to the longest suffix of the word in the trie.
+
+    Row distributions are blended with their parent: P(t|s_1..i) =
+    (ML(t|s_1..i) + theta * P(t|s_2..i)) / (1 + theta), rooted at the ML
+    distribution of the whole training population for this trie.  The
+    counts are integers, so a row's distribution does not depend on the
+    order in which words or rows are counted.  A query returns the row's
+    Bayes-inverted emissions log(P(t|suffix) / P(t)), -inf for tags outside
+    the population, computed on the row's first query and kept.
     """
 
     def __init__(self, forms, counts, theta, max_len):
         """forms: the trie's training words; counts: their (n, k) tag counts."""
-        self.max_len = max_len
-        lens = np.array([len(f) for f in forms], dtype=np.intp)
-        suffixes, word_of = [""] * len(forms), [np.arange(len(forms))]
+        lens = np.fromiter(map(len, forms), np.intp, len(forms))
+        ends = np.cumsum(lens)  # word i's code points end at ends[i]
+        codes = np.frombuffer("".join(forms).encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.int64)
+        words = np.arange(len(forms))
+        node = np.zeros(len(forms), np.int64)  # each word's row at the depth reached
+        keys, word_of, node_of, depth_ends = [], [words], [node.copy()], [min(len(forms), 1)]
         for n in range(1, max_len + 1):
-            words = np.flatnonzero(lens >= n)
-            suffixes += [forms[i][-n:] for i in words.tolist()]
+            words = words[lens[words] >= n]
+            if not len(words):
+                break
+            new, inverse = np.unique(node[words] * _CODE_POINTS + codes[ends[words] - n], return_inverse=True)
+            node[words] = depth_ends[-1] + inverse
+            keys.append(new)
             word_of.append(words)
-        self.index = dict(zip(dict.fromkeys(suffixes), itertools.count()))
-        node_of = np.fromiter(map(self.index.__getitem__, suffixes), np.intp, len(suffixes))
-        word_of = np.concatenate(word_of)
+            node_of.append(node[words])
+            depth_ends.append(depth_ends[-1] + len(new))
+        keys = np.concatenate([np.zeros(0, np.int64), *keys])  # keys[i] is row i + 1's
+        self.children = dict(zip(keys.tolist(), range(1, len(keys) + 1)))
+        word_of, node_of = np.concatenate(word_of), np.concatenate(node_of)
         node_counts = np.stack(
-            [np.bincount(node_of, weights=c[word_of], minlength=len(self.index)) for c in counts.T], axis=1
+            [np.bincount(node_of, weights=c[word_of], minlength=depth_ends[-1]) for c in counts.T], axis=1
         )
         self.dist = node_counts / node_counts.sum(axis=1, keepdims=True)  # ML; the root stays so
-        length = np.fromiter(map(len, self.index), np.intp, len(self.index))
-        parent = np.fromiter(map(self.index.__getitem__, [s[1:] for s in self.index]), np.intp, len(self.index))
-        for n in range(1, max_len + 1):  # parents first
-            rows = np.flatnonzero(length == n)
-            self.dist[rows] = (self.dist[rows] + theta * self.dist[parent[rows]]) / (1.0 + theta)
+        parent = keys // _CODE_POINTS
+        for a, b in itertools.pairwise(depth_ends):  # parents first
+            self.dist[a:b] = (self.dist[a:b] + theta * self.dist[parent[a - 1 : b - 1]]) / (1.0 + theta)
         self._logp = {}  # row -> emission log row, filled by query
 
     def __bool__(self):
-        return bool(self.index)
+        return len(self.dist) > 0
+
+    def row(self, word):
+        """Row of the longest suffix of word in the trie, the root when none
+        matches (the trie is max_len deep, so the walk stops by then)."""
+        row = 0
+        for c in map(ord, reversed(word)):
+            child = self.children.get(row * _CODE_POINTS + c)
+            if child is None:
+                break
+            row = child
+        return row
 
     def query(self, word):
         """Emission log row of the longest matching suffix (root fallback)."""
-        for i in range(min(self.max_len, len(word)), 0, -1):
-            row = self.index.get(word[-i:])
-            if row is not None:
-                break
-        else:
-            row = 0
+        row = self.row(word)
         logp = self._logp.get(row)
         if logp is None:  # _log(dist[row] / prior), 0 where the prior is 0, on Python floats: quicker for k values
             ratios = [d / p if p > 0 else 0.0 for d, p in zip(self.dist[row].tolist(), self.dist[0].tolist())]
@@ -130,22 +162,38 @@ def _counts(name, a, shape):
     return a.astype(np.int64)
 
 
+def _check_config(max_suffix_len, suffix_max_freq, beam_default):
+    """ValueError naming the first config field of the wrong type or range."""
+
+    def number(x, kinds):
+        return isinstance(x, kinds) and not isinstance(x, bool)
+
+    if not (number(max_suffix_len, int) and max_suffix_len >= 1):
+        raise ValueError(f"'max_suffix_len' must be an integer >= 1, got {max_suffix_len!r}")
+    if not (number(suffix_max_freq, int) and suffix_max_freq >= 0):
+        raise ValueError(f"'suffix_max_freq' must be an integer >= 0, got {suffix_max_freq!r}")
+    if not (number(beam_default, (int, float)) and (beam_default == 0 or 1 <= beam_default < math.inf)):
+        raise ValueError(f"'beam_default' must be 0 or a finite number >= 1, got {beam_default!r}")
+
+
 class TrigramModel:
     """A tagger derived from its tag-trigram and (form, tag) counts."""
 
     def __init__(self, tagset, tri, forms, emit, max_suffix_len=10, suffix_max_freq=10, beam_default=1000.0):
+        _check_config(max_suffix_len, suffix_max_freq, beam_default)
         self.tagset = list(tagset)
         k = len(self.tagset)
         if not k or len(set(self.tagset)) != k or BOUNDARY in self.tagset:
             raise ValueError(f"'tagset' must be distinct tags other than {BOUNDARY!r}, got {self.tagset}")
         self.forms = list(forms)
-        if not all(isinstance(f, str) and f for f in self.forms) or len(set(self.forms)) != len(self.forms):
+        strings = all(map(isinstance, self.forms, itertools.repeat(str)))
+        if not strings or "" in self.forms or len(set(self.forms)) != len(self.forms):
             raise ValueError("'forms' must be distinct non-empty strings")
         self.tri = _counts("tri", tri, (k + 1, k + 1, k))
         self.emit = _counts("emit", emit, (len(self.forms), k))
         self.tag_index = {t: i for i, t in enumerate(self.tagset)}
         self.history_index = {**self.tag_index, BOUNDARY: k}
-        self.form_index = {f: i for i, f in enumerate(self.forms)}
+        self.form_index = dict(zip(self.forms, itertools.count()))
         self.max_suffix_len = max_suffix_len
         self.suffix_max_freq = suffix_max_freq
         self.beam_default = beam_default
@@ -181,12 +229,12 @@ class TrigramModel:
         self.log_emit = _log(self.emit / uni)
         self.log_uniform = np.full(k, math.log(1.0 / k))  # no suffix data at all: uninformative
 
-        rare = np.flatnonzero(self.freq <= suffix_max_freq).tolist()
-        upper = [i for i in rare if self.forms[i][0].isupper()]
-        lower = [i for i in rare if not self.forms[i][0].isupper()]
+        rare = np.flatnonzero(self.freq <= suffix_max_freq)
+        words = np.array(self.forms, dtype=object)[rare]
+        upper = np.fromiter(map(str.isupper, map(itemgetter(0), words)), bool, len(words))
         self.trie_upper, self.trie_lower = (
-            SuffixTrie([self.forms[i] for i in rows], self.emit[rows], self.theta, max_suffix_len)
-            for rows in (upper, lower)
+            SuffixTrie(words[case].tolist(), self.emit[rare[case]], self.theta, max_suffix_len)
+            for case in (upper, ~upper)
         )
 
     def _ids(self, t1, t2, t3):
@@ -240,24 +288,27 @@ def train_hmm(corpus, max_suffix_len=10, suffix_max_freq=10, beam_default=1000.0
     """Count tag trigrams and (form, tag) pairs, then derive the model."""
     if not corpus.sentences:
         raise ValueError("train_hmm: empty corpus")
-    tagset = corpus.tagset()
-    return TrigramModel(tagset, *_count(corpus, tagset), max_suffix_len, suffix_max_freq, beam_default)
+    return TrigramModel(*_count(corpus), max_suffix_len, suffix_max_freq, beam_default)
 
 
-def _count(corpus, tagset):
-    """(tri, forms, emit) of a corpus, each array from one bincount over integer codes."""
-    k, n = len(tagset), corpus.n_tokens()
-    tag_id = {t: i for i, t in enumerate(tagset)}
-    form_id = {}
-    tags = np.fromiter((tag_id[t] for s in corpus for t in s.tags), np.intp, n)
-    words = np.fromiter((form_id.setdefault(f, len(form_id)) for s in corpus for f in s.forms), np.intp, n)
-    lengths = np.array([len(s) for s in corpus])
+def _count(corpus):
+    """(tagset, tri, forms, emit) of a corpus.  Whole-corpus passes that run
+    in C give the tagset, the forms in first-occurrence order and every
+    token's integer codes; each array is then one bincount over the codes."""
+    tag_lists = list(map(attrgetter("tags"), corpus.sentences))
+    forms = list(itertools.chain.from_iterable(map(attrgetter("forms"), corpus.sentences)))
+    tags = list(itertools.chain.from_iterable(tag_lists))
+    tagset, types = sorted(set(tags)), list(dict.fromkeys(forms))
+    k, n = len(tagset), len(tags)
+    tags = np.fromiter(map(dict(zip(tagset, itertools.count())).__getitem__, tags), np.intp, n)
+    words = np.fromiter(map(dict(zip(types, itertools.count())).__getitem__, forms), np.intp, n)
+    lengths = np.fromiter(map(len, tag_lists), np.intp, len(tag_lists))
     pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # index within the sentence
     t2 = np.where(pos >= 1, np.roll(tags, 1), k)
     t1 = np.where(pos >= 2, np.roll(tags, 2), k)
     tri = np.bincount((t1 * (k + 1) + t2) * k + tags, minlength=(k + 1) ** 2 * k).reshape(k + 1, k + 1, k)
-    emit = np.bincount(words * k + tags, minlength=len(form_id) * k).reshape(-1, k)
-    return tri, list(form_id), emit
+    emit = np.bincount(words * k + tags, minlength=len(types) * k).reshape(-1, k)
+    return tagset, tri, types, emit
 
 
 def viterbi(model, tokens, beam=1000.0):
@@ -275,10 +326,15 @@ def viterbi(model, tokens, beam=1000.0):
     Ties resolve to the lowest tag indices: survivors are extended in
     ascending (previous, current) order, a state keeps its first best
     predecessor, and the final state is the lowest (previous, current) pair
-    of the best score.  When no state of nonzero probability survives a
-    position (every path has probability 0, or every path through the
-    beam), all scores tie at -inf and the result is the lexicographically
-    first sequence, the first tag at every position.
+    of the best score.  That is the rule of the dense decoder in
+    tests/reference.py, not "the lexicographically first best sequence":
+    float rounding can make a path whose prefix lost at some state tie
+    exactly with the best path at the end, and a dropped prefix is never
+    revisited.  The path found always has the highest score.  When no
+    state of nonzero probability survives a position (every path has
+    probability 0, or every path through the beam), all scores tie at -inf
+    and the result is the lexicographically first sequence, the first tag
+    at every position.
     """
     if not tokens:
         raise ValueError("viterbi: empty sentence")

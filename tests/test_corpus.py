@@ -209,6 +209,30 @@ def test_write_then_read_round_trips(tmp_path_factory, writer, reader, corpus):
     assert reader(path) == corpus
 
 
+@st.composite
+def _repetitive_corpora(draw):
+    """Corpora over a few forms of 2-3 characters and two tags, so that most
+    types repeat (CPython shares one-character strings anyway)."""
+    forms = draw(st.lists(st.text("aéb", min_size=2, max_size=3), min_size=1, max_size=4, unique=True))
+    token = st.tuples(st.sampled_from(forms), st.sampled_from(["NOUN", "VERB"]))
+    sents = draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1, max_size=5))
+    return Corpus([Sentence([f for f, _ in s], [t for _, t in s]) for s in sents])
+
+
+@pytest.mark.parametrize("writer,reader", [(write_conllu, read_conllu), (write_twocol, read_twocol)])
+@settings(max_examples=30, deadline=None)
+@given(corpus=_repetitive_corpora())
+def test_equal_forms_and_tags_are_one_object(tmp_path_factory, writer, reader, corpus):
+    path = str(tmp_path_factory.mktemp("intern") / "c.txt")
+    writer(corpus, path)
+    read = reader(path)
+    assert read == corpus
+    first = {}
+    for sent in read:
+        for text in sent.forms + sent.tags:
+            assert first.setdefault(text, text) is text, text
+
+
 def _chain_corpus(n_sents=40, len_=5):
     tags = ["A", "B", "C"]
     sents = []

@@ -5,14 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqtag.autodiff import Rng
 from seqtag.container import ModelError, load_container, save_container
 from seqtag.corpus import Corpus, Sentence
 from seqtag.synthetic import make_suffix_corpus
-from seqtag.tnt import BOUNDARY, SuffixTrie, load_hmm, save_hmm, train_hmm, viterbi
+from seqtag.tnt import BOUNDARY, CONFIG, SuffixTrie, load_hmm, save_hmm, train_hmm, viterbi
 
 from reference import ReferenceTnt, brute_force_viterbi, reference_viterbi
 
@@ -238,8 +238,59 @@ class TestEmission:
         train_c, _ = make_suffix_corpus(120, 10, seed=4)
         model = train_hmm(train_c)
         for trie in (model.trie_upper, model.trie_lower):
-            for suffix, row in trie.index.items():
-                assert abs(trie.dist[row].sum() - 1.0) < 1e-9, suffix
+            for row, dist in enumerate(trie.dist):
+                assert abs(dist.sum() - 1.0) < 1e-9, row
+
+
+# non-ASCII, astral-plane (one code point, two UTF-16 units) and lone
+# surrogate characters, upper and lower case
+_TRIE_CHARS = ["a", "b", "é", "ß", "A", "É", "\U0001d518", "\ud800"]
+
+
+@st.composite
+def _trie_cases(draw):
+    """(corpus, query words, max_suffix_len, suffix_max_freq); words up to 7
+    characters, so most are longer than max_suffix_len = 1 or 2."""
+    form = st.lists(st.sampled_from(_TRIE_CHARS), min_size=1, max_size=7).map("".join)
+    vocab = draw(st.lists(form, min_size=1, max_size=12, unique=True))
+    token = st.tuples(st.sampled_from(vocab), st.sampled_from(["A", "B", "C"]))
+    sents = draw(st.lists(st.lists(token, min_size=1, max_size=6), min_size=1, max_size=8))
+    corpus = Corpus([Sentence([f for f, _ in s], [t for _, t in s]) for s in sents])
+    extended = st.builds(lambda c, w: c + w, st.sampled_from(_TRIE_CHARS), st.sampled_from(vocab))
+    queries = draw(st.lists(extended, max_size=4)) + draw(st.lists(form, max_size=4))
+    return corpus, queries, draw(st.sampled_from([1, 2, 3, 10])), draw(st.sampled_from([1, 2, 10]))
+
+
+class TestSuffixTrie:
+    """The integer-coded trie against the string-keyed one it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_trie_cases())
+    def test_same_nodes_distributions_and_queries_as_the_string_keyed_trie(self, case):
+        corpus, queries, max_suffix_len, suffix_max_freq = case
+        model = train_hmm(corpus, max_suffix_len, suffix_max_freq)
+        want = ReferenceTnt(corpus, max_suffix_len, suffix_max_freq)
+        for trie, ref in ((model.trie_upper, want.trie_upper), (model.trie_lower, want.trie_lower)):
+            assert len(trie.dist) == len(ref.dist)
+            if not ref:
+                continue
+            # every stored suffix has its own row, numbered shortest suffix first
+            rows = {suffix: trie.row(suffix) for suffix in ref.dist}
+            assert sorted(rows.values()) == list(range(len(ref.dist)))
+            assert [len(s) for s in sorted(rows, key=rows.get)] == sorted(map(len, rows))
+            for suffix, row in rows.items():
+                assert trie.dist[row].tolist() == [ref.dist[suffix].get(t, 0.0) for t in model.tagset], suffix
+            prior = ref.prior
+            for word in queries + list(ref.dist):
+                if not word:
+                    continue
+                dist = ref.query(word)
+                assert trie.dist[trie.row(word)].tolist() == [dist.get(t, 0.0) for t in model.tagset], word
+                logp = [
+                    math.log(dist.get(t, 0.0) / prior[t]) if prior.get(t, 0.0) and dist.get(t, 0.0) else -math.inf
+                    for t in model.tagset
+                ]
+                assert trie.query(word).tolist() == logp, word
 
 
 class TestDataBenefit:
@@ -353,6 +404,31 @@ class TestPersistence:
             load_hmm(path)
         assert path in str(err.value)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("max_suffix_len", "10"), ("max_suffix_len", 2.5), ("max_suffix_len", -1), ("max_suffix_len", 0),
+            ("max_suffix_len", True), ("max_suffix_len", None),
+            ("suffix_max_freq", "x"), ("suffix_max_freq", None), ("suffix_max_freq", -1), ("suffix_max_freq", 1.5),
+            ("suffix_max_freq", False),
+            ("beam_default", "x"), ("beam_default", None), ("beam_default", 0.5), ("beam_default", -1),
+            ("beam_default", math.inf), ("beam_default", math.nan), ("beam_default", True),
+        ],
+    )
+    def test_bad_config_is_a_model_error(self, tmp_path, name, value):
+        corpus = Corpus([Sentence(["a", "b"], ["X", "Y"])])
+        with pytest.raises(ValueError, match=f"^'{name}' "):
+            train_hmm(corpus, **{name: value})
+        path = self._rewrite(tmp_path, lambda h, a: h["config"].__setitem__(name, value))
+        with pytest.raises(ModelError, match=f"'{name}'") as err:
+            load_hmm(path)
+        assert path in str(err.value)
+
+    @pytest.mark.parametrize("config", [(1, 0, 0), (10, 10, 1), (3, 2, 1.5), (10, 10, 1000.0)])
+    def test_edge_configs_load_and_predict(self, tmp_path, config):
+        path = self._rewrite(tmp_path, lambda h, a: h.update(config=dict(zip(CONFIG, config))))
+        assert load_hmm(path).predict(["a", "b", "zz"])[:2] == ["X", "Y"]
+
 
 _FORMS = st.text(alphabet="abeéAÉ零ß", min_size=1, max_size=4)
 
@@ -374,6 +450,40 @@ def _tnt_cases(draw):
     return corpus, novel, test, draw(st.sampled_from([2, 10])), draw(st.sampled_from([1, 10]))
 
 
+# Sentences on which two paths tie exactly and brute_force_viterbi keeps
+# another path than viterbi and reference_viterbi (see _check_exact_path):
+# (training sentences, max_suffix_len, suffix_max_freq, test sentence).
+_TIES = [
+    (
+        [(["A", "AA"], ["B", "B"]), (["A", "A"], ["Č", "Č"]), (["A", "A", "AA", "A", "A", "A"], list("ČAČBAA"))],
+        2, 1, ["AA", "A", "aA", "A"],
+    ),
+    ([(["ab"], ["A"]), (["ab", "A", "A", "A"], ["A", "A", "B", "A"])], 10, 10, ["A", "A", "A", "a"]),
+    ([(["A"] * 5, list("BBDED")), (["A"] * 4, list("DBBD"))], 2, 10, ["A", "A", "A"]),
+]
+
+
+def _tie_case(i):
+    """_TIES[i] as _tnt_cases draws a case."""
+    sents, max_suffix_len, suffix_max_freq, tokens = _TIES[i]
+    corpus = Corpus([Sentence(forms, tags) for forms, tags in sents])
+    novel = sorted(set(tokens) - {f for forms, _ in sents for f in forms})
+    return corpus, novel, [tokens], max_suffix_len, suffix_max_freq
+
+
+def _check_exact_path(model, tokens):
+    """The tie rule, checked: exact viterbi returns reference_viterbi's path,
+    the same rule of lowest indices (see viterbi), and that path scores
+    exactly the brute-force optimum.  The path itself may differ from
+    brute_force_viterbi's, which keeps the lexicographically first of the
+    paths that tie: float rounding can make a prefix that the DP dropped
+    tie with the best path at the end."""
+    exact = viterbi(model, tokens, beam=0)
+    assert exact == reference_viterbi(model, tokens, 0), tokens
+    assert _path_score(model, tokens, exact) == _path_score(model, tokens, brute_force_viterbi(model, tokens)), tokens
+    return exact
+
+
 class TestAgainstReference:
     """The count-array model against the dictionary model it replaced."""
 
@@ -393,7 +503,10 @@ class TestAgainstReference:
             ], word
 
     @settings(max_examples=60, deadline=None)
-    @given(_tnt_cases())
+    @given(case=_tnt_cases())
+    @example(case=_tie_case(0))
+    @example(case=_tie_case(1))
+    @example(case=_tie_case(2))
     def test_same_model_through_save_and_load(self, tmp_path_factory, case):
         corpus, novel, test, max_suffix_len, suffix_max_freq = case
         model = train_hmm(corpus, max_suffix_len, suffix_max_freq)
@@ -413,8 +526,7 @@ class TestAgainstReference:
         np.testing.assert_array_equal(clone.tri, model.tri)
         np.testing.assert_array_equal(clone.emit, model.emit)
         for tokens in test:
-            exact = viterbi(model, tokens, beam=0)
-            assert exact == brute_force_viterbi(model, tokens), tokens
+            exact = _check_exact_path(model, tokens)
             assert viterbi(clone, tokens, beam=0) == exact
             assert clone.predict(tokens) == model.predict(tokens)
 
@@ -441,12 +553,29 @@ def _decoder_cases(draw):
     return train_hmm(Corpus(sents)), test
 
 
+def _tie_model(i):
+    """_TIES[i] as _decoder_cases draws a case."""
+    corpus, _, test, max_suffix_len, suffix_max_freq = _tie_case(i)
+    return train_hmm(corpus, max_suffix_len, suffix_max_freq), test
+
+
 class TestDecoderAgainstOracles:
     @settings(max_examples=150, deadline=None)
-    @given(_decoder_cases())
+    @given(case=_decoder_cases())
+    @example(case=_tie_model(0))
+    @example(case=_tie_model(1))
+    @example(case=_tie_model(2))
     def test_equals_dense_decoder_and_brute_force(self, case):
         model, test = case
         for tokens in test:
             for beam in (0, 1.5, 2, 1000.0):
                 assert viterbi(model, tokens, beam) == reference_viterbi(model, tokens, beam), (tokens, beam)
-            assert viterbi(model, tokens, 0) == brute_force_viterbi(model, tokens), tokens
+            _check_exact_path(model, tokens)
+
+    @pytest.mark.parametrize("i", range(len(_TIES)))
+    def test_recorded_ties_are_ties(self, i):
+        # brute force keeps another path of the same score, so a path
+        # comparison with it would fail on these sentences
+        model, [tokens] = _tie_model(i)
+        exact, first = viterbi(model, tokens, 0), brute_force_viterbi(model, tokens)
+        assert exact != first and _path_score(model, tokens, exact) == _path_score(model, tokens, first)

@@ -515,47 +515,3 @@ def glorot(rng, fan_out, fan_in):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     u = rng.uniform_array(fan_out * fan_in)
     return (limit * (2.0 * u - 1.0)).reshape(fan_out, fan_in)
-
-
-# finite-difference oracle -----------------------------------------------------
-
-
-def gradient_check(loss_fn, params, h=1e-5):
-    """Max relative error between tape gradients and central differences.
-
-    `loss_fn(tape)` must build and return the scalar loss on the given tape
-    (or evaluate without recording when tape is None) and must be
-    deterministic: no noise, no RNG consumption that differs between calls.
-    The per-component error is |analytic - numeric| / max(1e-8,
-    |analytic| + |numeric|); the max over all components of all `params`
-    is returned.
-    """
-    tape = Tape()
-    loss = loss_fn(tape)
-    if not np.all(np.isfinite(loss.v)):
-        raise FloatingPointError("non-finite loss in gradient_check")
-    tape.backward(loss)
-
-    worst = 0.0
-    for p in params:
-        g = tape.grad(p)
-        if g is None:
-            g = np.zeros(p.v.shape)
-        elif isinstance(g, SparseRows):
-            g = g.to_dense()
-        flat = p.v.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for i in range(flat.shape[0]):
-            keep = flat[i]
-            flat[i] = keep + h
-            f_plus = float(loss_fn(None).v.reshape(()))
-            flat[i] = keep - h
-            f_minus = float(loss_fn(None).v.reshape(()))
-            flat[i] = keep
-            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                raise FloatingPointError("non-finite evaluation in gradient_check")
-            num = (f_plus - f_minus) / (2.0 * h)
-            err = abs(gflat[i] - num) / max(1e-8, abs(gflat[i]) + abs(num))
-            if err > worst:
-                worst = err
-    return worst

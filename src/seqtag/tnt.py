@@ -240,10 +240,6 @@ class TrigramModel:
     def _ids(self, t1, t2, t3):
         return self.history_index[t1], self.history_index[t2], self.tag_index[t3]
 
-    def transition(self, t1, t2, t3):
-        """Interpolated P(t3 | t1, t2); t1 and t2 may be BOUNDARY."""
-        return float(self.trans[self._ids(t1, t2, t3)])
-
     def transition_logp(self, t1, t2, t3):
         return float(self.log_trans[self._ids(t1, t2, t3)])
 

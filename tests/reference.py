@@ -1,15 +1,64 @@
-"""Test oracles: per-step LSTM references, independent of the fused nodes,
-and the gathered (B, T, D) form of a run over table rows; the
-dictionary-based TnT model that the count-array model replaced; and the
-two Viterbi decoders that the survivor-only one is checked against."""
+"""Test oracles: a finite-difference gradient check; per-step LSTM
+references, independent of the fused nodes, and the gathered (B, T, D) form
+of a run over table rows; the dictionary-based TnT model that the
+count-array model replaced, and a scalar transition probability for the
+count-array model; the two Viterbi decoders that the survivor-only one is
+checked against; and the whole-buffer container writer and reader that the
+streaming ones replaced."""
 
+import hashlib
 import itertools
+import json
 import math
+import struct
 from collections import Counter
 
 import numpy as np
 
+from seqtag.autodiff import SparseRows, Tape
+from seqtag.container import MAGIC, ModelError, _manifest, header_field
 from seqtag.tnt import BOUNDARY, NEG_INF
+
+
+def gradient_check(loss_fn, params, h=1e-5):
+    """Max relative error between tape gradients and central differences.
+
+    `loss_fn(tape)` must build and return the scalar loss on the given tape
+    (or evaluate without recording when tape is None) and must be
+    deterministic: no noise, no RNG consumption that differs between calls.
+    The per-component error is |analytic - numeric| / max(1e-8,
+    |analytic| + |numeric|); the max over all components of all `params`
+    is returned.
+    """
+    tape = Tape()
+    loss = loss_fn(tape)
+    if not np.all(np.isfinite(loss.v)):
+        raise FloatingPointError("non-finite loss in gradient_check")
+    tape.backward(loss)
+
+    worst = 0.0
+    for p in params:
+        g = tape.grad(p)
+        if g is None:
+            g = np.zeros(p.v.shape)
+        elif isinstance(g, SparseRows):
+            g = g.to_dense()
+        flat = p.v.reshape(-1)
+        gflat = np.asarray(g).reshape(-1)
+        for i in range(flat.shape[0]):
+            keep = flat[i]
+            flat[i] = keep + h
+            f_plus = float(loss_fn(None).v.reshape(()))
+            flat[i] = keep - h
+            f_minus = float(loss_fn(None).v.reshape(()))
+            flat[i] = keep
+            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+                raise FloatingPointError("non-finite evaluation in gradient_check")
+            num = (f_plus - f_minus) / (2.0 * h)
+            err = abs(gflat[i] - num) / max(1e-8, abs(gflat[i]) + abs(num))
+            if err > worst:
+                worst = err
+    return worst
 
 
 def _sig(x):
@@ -247,6 +296,11 @@ class ReferenceTnt:
         return math.log(p) if p > 0.0 else -math.inf
 
 
+def transition(model, t1, t2, t3):
+    """Interpolated P(t3 | t1, t2) of a TrigramModel; t1 and t2 may be BOUNDARY."""
+    return float(model.trans[model._ids(t1, t2, t3)])
+
+
 def brute_force_viterbi(model, tokens):
     """Exhaustive search over the scalar API, tabulated once, with the same
     accumulation order; ties, and sentences where every path scores -inf,
@@ -311,3 +365,62 @@ def reference_viterbi(model, tokens, beam=1000.0):
         prev, cur = int(bp[prev, cur]), prev
         rev.append(prev)
     return [tags[i] for i in reversed(rev)]
+
+
+# Container ------------------------------------------------------------------
+# The whole-buffer writer and reader: the file built in memory and written in
+# one call; the file read whole, its digest checked, then parsed from slices.
+
+
+def reference_save_container(path, header, arrays):
+    header = dict(header)
+    header["arrays"] = [{"name": name, "shape": list(a.shape)} for name, a in arrays]
+    hbytes = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    body = bytearray()
+    body += MAGIC
+    body += struct.pack("<Q", len(hbytes))
+    body += hbytes
+    for _, a in arrays:
+        body += np.ascontiguousarray(a, dtype="<f8").tobytes()
+    body += hashlib.sha256(bytes(body)).digest()
+    with open(path, "wb") as fh:
+        fh.write(body)
+    return len(body)
+
+
+def reference_load_container(path):
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise ModelError(f"{path}: {e}") from e
+    if len(data) < len(MAGIC) + 8 + 32:
+        raise ModelError(f"{path}: truncated file")
+    if data[: len(MAGIC)] != MAGIC:
+        if data[:7] == MAGIC[:7]:
+            raise ModelError(f"{path}: unsupported container version")
+        raise ModelError(f"{path}: not a model container (bad magic)")
+    body, digest = data[:-32], data[-32:]
+    if hashlib.sha256(body).digest() != digest:
+        raise ModelError(f"{path}: checksum mismatch (corrupt file)")
+    hlen = struct.unpack("<Q", body[8:16])[0]
+    if 16 + hlen > len(body):
+        raise ModelError(f"{path}: truncated header")
+    try:
+        header = json.loads(body[16 : 16 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ModelError(f"{path}: bad header: {e}") from e
+    if not isinstance(header, dict):
+        raise ModelError(f"{path}: header is a JSON {type(header).__name__}, not an object")
+    offset = 16 + hlen
+    arrays = {}
+    for name, shape in header_field(path, header, "arrays", _manifest):
+        nbytes = 8 * int(np.prod(shape)) if shape else 8
+        chunk = body[offset : offset + nbytes]
+        if len(chunk) < nbytes:
+            raise ModelError(f"{path}: truncated array block {name!r}")
+        arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        offset += nbytes
+    if offset != len(body):
+        raise ModelError(f"{path}: {len(body) - offset} unexpected trailing bytes")
+    return header, arrays

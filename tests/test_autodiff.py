@@ -17,13 +17,14 @@ from seqtag.autodiff import (
     concat,
     gaussian_noise,
     glorot,
-    gradient_check,
     lookup_row,
     sgd_step,
     softmax_xent,
     take,
 )
 from seqtag.recurrent import LstmCell, rnn_seq
+
+from reference import gradient_check
 
 
 class TestPrimitiveForward:

@@ -13,13 +13,12 @@ from seqtag.autodiff import (
     add,
     affine,
     glorot,
-    gradient_check,
     softmax_xent,
     take,
 )
 from seqtag.recurrent import LstmCell, birnn_ctx, birnn_seq, rnn_seq
 
-from reference import gate, reference_grads, reference_lstm_step, reference_states, reference_table_run
+from reference import gate, gradient_check, reference_grads, reference_lstm_step, reference_states, reference_table_run
 
 
 def _seeded_lstm(name="lstm", input_dim=3, hidden_dim=4, seed=17):

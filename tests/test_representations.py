@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtag.autodiff import Parameter, Rng, affine, glorot, gradient_check, softmax_xent
+from seqtag.autodiff import Parameter, Rng, affine, glorot, softmax_xent
 from seqtag.corpus import Corpus, DataError, Sentence
 from seqtag.representations import (
     CHAR_END,
@@ -18,7 +18,7 @@ from seqtag.representations import (
     build_vocab,
     read_embeddings,
 )
-from reference import reference_states
+from reference import gradient_check, reference_states
 
 
 def _corpus(sents, tags=None):

@@ -130,7 +130,8 @@ class TestFullModelGradient:
         vocab = build_vocab(corpus)
         tagset = sorted({t for s in corpus for t in s.tags})
         n_bins = 1 + max(freqbin_label(c) for c in vocab.freq_train.values())
-        from seqtag.autodiff import Rng, gradient_check
+        from seqtag.autodiff import Rng
+        from reference import gradient_check
 
         hp = _small_hp(word_dim=4, subtoken_dim=3, hidden_dim=3, sigma=0.0)
         model = TaggerModel(hp, vocab, tagset, n_bins, init_rng=Rng(7))
@@ -146,7 +147,8 @@ class TestFullModelGradient:
         corpus = _toy_corpus()
         vocab = build_vocab(corpus)
         tagset = sorted({t for s in corpus for t in s.tags})
-        from seqtag.autodiff import Rng, gradient_check
+        from seqtag.autodiff import Rng
+        from reference import gradient_check
 
         hp = _small_hp(repr_mode="c+b", freqbin=False, subtoken_dim=2, hidden_dim=2, sigma=0.0)
         model = TaggerModel(hp, vocab, tagset, 1, init_rng=Rng(9))

@@ -14,7 +14,7 @@ from seqtag.corpus import Corpus, Sentence
 from seqtag.synthetic import make_suffix_corpus
 from seqtag.tnt import BOUNDARY, CONFIG, SuffixTrie, load_hmm, save_hmm, train_hmm, viterbi
 
-from reference import ReferenceTnt, brute_force_viterbi, reference_viterbi
+from reference import ReferenceTnt, brute_force_viterbi, reference_viterbi, transition
 
 
 def _random_corpus(rng, n_sents=30, tags=("A", "B", "C", "D"), n_words=12):
@@ -171,8 +171,8 @@ class TestDeletedInterpolation:
 
     def test_single_tag_corpus_degenerates_to_certainty(self):
         model = train_hmm(Corpus([Sentence(["a", "b", "a"], ["T", "T", "T"])]))
-        assert model.transition(BOUNDARY, BOUNDARY, "T") == pytest.approx(1.0)
-        assert model.transition("T", "T", "T") == pytest.approx(1.0)
+        assert transition(model, BOUNDARY, BOUNDARY, "T") == pytest.approx(1.0)
+        assert transition(model, "T", "T", "T") == pytest.approx(1.0)
 
 
 class TestTransitionDistribution:
@@ -181,13 +181,13 @@ class TestTransitionDistribution:
         histories = [BOUNDARY] + model.tagset
         for t1 in histories:
             for t2 in histories:
-                total = sum(model.transition(t1, t2, t3) for t3 in model.tagset)
+                total = sum(transition(model, t1, t2, t3) for t3 in model.tagset)
                 assert abs(total - 1.0) < 1e-9, (t1, t2, total)
 
     def test_unseen_history_still_proper(self):
         # single sentence: history (B, A) exists but e.g. (C, A) does not
         model = train_hmm(Corpus([Sentence(["u", "v", "w"], ["A", "B", "C"])]))
-        total = sum(model.transition("C", "A", t) for t in model.tagset)
+        total = sum(transition(model, "C", "A", t) for t in model.tagset)
         assert abs(total - 1.0) < 1e-9
 
 

@@ -508,10 +508,11 @@ def sgd_step(params, grads, lr):
 
 
 def glorot(rng, fan_out, fan_in):
-    """Glorot-uniform matrix of shape (fan_out, fan_in); zeros when rng is
-    None, for a model whose weights are about to be loaded."""
+    """Glorot-uniform matrix of shape (fan_out, fan_in).  Without an rng it
+    is read-only zeros that take no memory, for a model whose weights are
+    about to be loaded."""
     if rng is None:
-        return np.zeros((fan_out, fan_in))
+        return np.broadcast_to(0.0, (fan_out, fan_in))
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     u = rng.uniform_array(fan_out * fan_in)
     return (limit * (2.0 * u - 1.0)).reshape(fan_out, fan_in)

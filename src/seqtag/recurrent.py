@@ -52,19 +52,27 @@ from .autodiff import BACKWARD, Parameter, Tensor, concat, glorot, take, wrap
 
 
 class LstmCell:
-    """Stacked [i, f, g, o] gate weights of an LSTM; zeros without an rng."""
+    """Stacked [i, f, g, o] gate weights of an LSTM, each gate's block
+    initialised on its own; zeros without an rng (see glorot)."""
 
     def __init__(self, name, input_dim, hidden_dim, rng=None):
         self.name = name
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         h, d = hidden_dim, input_dim
-        self.W_x = Parameter(f"{name}.W_x", np.vstack([glorot(rng, h, d) for _ in range(4)]))
-        self.W_h = Parameter(f"{name}.W_h", np.vstack([glorot(rng, h, h) for _ in range(4)]))
+        self.W_x = Parameter(f"{name}.W_x", _gates(rng, h, d))
+        self.W_h = Parameter(f"{name}.W_h", _gates(rng, h, h))
         self.b = Parameter(f"{name}.b", np.zeros(4 * h))
 
     def parameters(self):
         return [self.W_x, self.W_h, self.b]
+
+
+def _gates(rng, h, d):
+    """(4h, d): four Glorot blocks of (h, d), drawn in gate order."""
+    if rng is None:
+        return glorot(None, 4 * h, d)
+    return np.vstack([glorot(rng, h, d) for _ in range(4)])
 
 
 def _packing(lengths, steps, reverse):

@@ -8,6 +8,15 @@ derives everything else from them: lower-order counts, interpolation
 weights, theta, the log-probability tables and the suffix tries.  A saved
 model holds nothing else, so a loaded one cannot disagree with itself.
 
+Emissions are stored sparse, in the form the decoder reads: for each known
+form, a tuple of (tag id, log P(form | tag)) pairs over the tags it was
+seen with, in ascending tag order, built from the distinct rows of `emit`
+so that forms with equal counts share one tuple.  A suffix trie keeps each
+queried row as the same kind of tuple, and a model with no suffix data
+falls back to every tag with log 1/k.  The dense (k,) rows of
+`emission_logps` and `SuffixTrie.query` are built from the pairs on each
+call, so they hold the same floats and a caller may write into them.
+
 Everything is counted on integer codes.  `train_hmm` takes the tagset, the
 forms in first-occurrence order and every token's tag and form id from
 whole-corpus passes that run in C (the readers hand it one string object
@@ -25,13 +34,15 @@ model pays only for counting the suffixes.
 Decoding is beam Viterbi in log space over (previous, current) tag pairs,
 as in TnT (Brants 2000, arXiv:cs/0003055): only the pairs that survive the
 beam at one position are extended to the next, by the tags the next token
-can emit, on Python floats.  A position costs survivors x k additions at
-most; on a language whose words nearly fix their tags one or two pairs
-survive, where a dense step would score all k^3 transitions.  beam = 0
-keeps every pair of nonzero probability, up to k^2 of them, and is then
-slower than dense numpy for large k.  Ties go to the lowest tag indices,
-and a sentence with no path of nonzero probability (through the beam)
-gets the first tag everywhere; `viterbi` says how.
+can emit, on Python floats.  A position costs one dict lookup for a known
+word (a trie walk of at most max_suffix_len steps for an unknown one) and
+survivors x (the token's tags) additions; on a language whose words nearly
+fix their tags one or two pairs survive and most tokens have one tag,
+where a dense step would score all k^3 transitions.  beam = 0 keeps every
+pair of nonzero probability, up to k^2 of them, and is then slower than
+dense numpy for large k.  Ties go to the lowest tag indices, and a
+sentence with no path of nonzero probability (through the beam) gets the
+first tag everywhere; `viterbi` says how.
 
 Reconstructed Brants-style constants, all overridable: suffix length <= 10,
 suffixes trained on words with frequency <= 10, abstraction weight theta =
@@ -70,7 +81,16 @@ def _log(p):
     return out
 
 
-_CODE_POINTS = 0x110000  # a trie key is parent row * _CODE_POINTS + code point
+_CODE_POINTS = 0x110000  # np.unique orders a depth by parent row * _CODE_POINTS + code point
+
+
+def _dense(pairs, k):
+    """The (k,) emission log row of (tag id, log) pairs, -inf elsewhere."""
+    row = np.full(k, NEG_INF)
+    if pairs:
+        tags, logps = zip(*pairs)
+        row[list(tags)] = logps
+    return row
 
 
 class SuffixTrie:
@@ -80,20 +100,24 @@ class SuffixTrie:
     characters deep, built on integer codes: one array holds the code
     points of every word (UTF-32, lone surrogates kept by surrogatepass),
     and the nodes at depth n are the distinct (parent row, n-th code point
-    from the end) keys of the words at least n characters long, found by
+    from the end) pairs of the words at least n characters long, found by
     np.unique.  Row i of `dist` is one suffix.  Rows are numbered shortest
     suffix first, so the root '' is row 0 and every row comes after its
-    parent (the suffix minus its first character).  `children` maps parent
-    row * 0x110000 + code point to the child's row; a query walks it down
-    from the root to the longest suffix of the word in the trie.
+    parent (the suffix minus its first character); a depth's rows are in
+    (parent row, code point) order.  `children` maps code point * stride +
+    parent row to the child's row, stride being the least power of two
+    above every row, so a key's low bits are its parent row and the dict's
+    slots spread over the rows; a query walks it down from the root to the
+    longest suffix of the word in the trie.
 
     Row distributions are blended with their parent: P(t|s_1..i) =
     (ML(t|s_1..i) + theta * P(t|s_2..i)) / (1 + theta), rooted at the ML
     distribution of the whole training population for this trie.  The
     counts are integers, so a row's distribution does not depend on the
-    order in which words or rows are counted.  A query returns the row's
-    Bayes-inverted emissions log(P(t|suffix) / P(t)), -inf for tags outside
-    the population, computed on the row's first query and kept.
+    order in which words or rows are counted.  A row's emissions are the
+    Bayes inversion log(P(t|suffix) / P(t)) of its tags of nonzero
+    probability, as (tag id, log) pairs in ascending tag order, the form
+    `viterbi` reads; they are computed on the row's first query and kept.
     """
 
     def __init__(self, forms, counts, theta, max_len):
@@ -114,17 +138,18 @@ class SuffixTrie:
             word_of.append(words)
             node_of.append(node[words])
             depth_ends.append(depth_ends[-1] + len(new))
-        keys = np.concatenate([np.zeros(0, np.int64), *keys])  # keys[i] is row i + 1's
-        self.children = dict(zip(keys.tolist(), range(1, len(keys) + 1)))
+        keys = np.concatenate([np.zeros(0, np.int64), *keys])  # keys[i] is row i + 1's (parent, code point)
+        parent, code = np.divmod(keys, _CODE_POINTS)
+        self.stride = 1 << max(depth_ends[-1] - 1, 0).bit_length()
+        self.children = dict(zip((code * self.stride + parent).tolist(), range(1, len(keys) + 1)))
         word_of, node_of = np.concatenate(word_of), np.concatenate(node_of)
         node_counts = np.stack(
             [np.bincount(node_of, weights=c[word_of], minlength=depth_ends[-1]) for c in counts.T], axis=1
         )
         self.dist = node_counts / node_counts.sum(axis=1, keepdims=True)  # ML; the root stays so
-        parent = keys // _CODE_POINTS
         for a, b in itertools.pairwise(depth_ends):  # parents first
             self.dist[a:b] = (self.dist[a:b] + theta * self.dist[parent[a - 1 : b - 1]]) / (1.0 + theta)
-        self._logp = {}  # row -> emission log row, filled by query
+        self._pairs = {}  # row -> (tag id, log) pairs, filled by emission_pairs
 
     def __bool__(self):
         return len(self.dist) > 0
@@ -132,22 +157,28 @@ class SuffixTrie:
     def row(self, word):
         """Row of the longest suffix of word in the trie, the root when none
         matches (the trie is max_len deep, so the walk stops by then)."""
-        row = 0
+        row, stride, child_of = 0, self.stride, self.children.get
         for c in map(ord, reversed(word)):
-            child = self.children.get(row * _CODE_POINTS + c)
+            child = child_of(c * stride + row)
             if child is None:
                 break
             row = child
         return row
 
-    def query(self, word):
-        """Emission log row of the longest matching suffix (root fallback)."""
+    def emission_pairs(self, word):
+        """(tag id, log P(t|suffix) / P(t)) pairs of the longest matching
+        suffix (root fallback), for the tags of nonzero ratio."""
         row = self.row(word)
-        logp = self._logp.get(row)
-        if logp is None:  # _log(dist[row] / prior), 0 where the prior is 0, on Python floats: quicker for k values
+        pairs = self._pairs.get(row)
+        if pairs is None:  # on Python floats: quicker for k values
             ratios = [d / p if p > 0 else 0.0 for d, p in zip(self.dist[row].tolist(), self.dist[0].tolist())]
-            logp = self._logp[row] = np.array([math.log(q) if q > 0 else NEG_INF for q in ratios])
-        return logp
+            pairs = self._pairs[row] = tuple((t, math.log(q)) for t, q in enumerate(ratios) if q > 0)
+        return pairs
+
+    def query(self, word):
+        """Emission log row of the longest matching suffix (root fallback):
+        `emission_pairs` as a fresh (k,) array, -inf for the other tags."""
+        return _dense(self.emission_pairs(word), self.dist.shape[1])
 
 
 def _counts(name, a, shape):
@@ -226,8 +257,8 @@ class TrigramModel:
         self.trans = l1 * p1 + l2 * p2 + l3 * p3
         self.log_trans = _log(self.trans)
         self.log_trans_rows = self.log_trans.tolist()  # what viterbi reads, as Python floats
-        self.log_emit = _log(self.emit / uni)
-        self.log_uniform = np.full(k, math.log(1.0 / k))  # no suffix data at all: uninformative
+        self.form_emissions = _emissions(self.emit, uni)
+        self.uniform = tuple((t, math.log(1.0 / k)) for t in range(k))  # no suffix data at all: uninformative
 
         rare = np.flatnonzero(self.freq <= suffix_max_freq)
         words = np.array(self.forms, dtype=object)[rare]
@@ -243,17 +274,22 @@ class TrigramModel:
     def transition_logp(self, t1, t2, t3):
         return float(self.log_trans[self._ids(t1, t2, t3)])
 
-    def emission_logps(self, word):
-        """[emission_logp(word, t) for t in tagset] as an array: log ML
-        P(word | t) for known words, suffix Bayes inversion otherwise."""
+    def emission_pairs(self, word):
+        """(tag id, log emission) pairs of word's tags of nonzero emission,
+        in tag order: log ML P(word | t) for known words, suffix Bayes
+        inversion otherwise."""
         row = self.form_index.get(word)
         if row is not None:
-            return self.log_emit[row]
+            return self.form_emissions[row]
         if not isinstance(word, str) or not word:
             raise ValueError(f"token {word!r} is not a non-empty string")
         tries = (self.trie_upper, self.trie_lower) if word[0].isupper() else (self.trie_lower, self.trie_upper)
         trie = next(filter(None, tries), None)  # the other case's trie if this one is empty
-        return self.log_uniform if trie is None else trie.query(word)
+        return self.uniform if trie is None else trie.emission_pairs(word)
+
+    def emission_logps(self, word):
+        """[emission_logp(word, t) for t in tagset] as a fresh array."""
+        return _dense(self.emission_pairs(word), len(self.tagset))
 
     def emission_logp(self, word, tag):
         return float(self.emission_logps(word)[self.tag_index[tag]])
@@ -264,6 +300,24 @@ class TrigramModel:
 
     def predict(self, tokens):
         return viterbi(self, tokens, self.beam_default)
+
+
+def _emissions(emit, uni):
+    """Each form's (tag id, log P(form | tag)) pairs, in tag order, for the
+    tags of nonzero count: the floats of math.log(emit / uni).
+
+    Forms with equal count rows share one tuple, built once: on a Zipfian
+    corpus most forms have one tag and a small count, so a few hundred
+    tuples serve every form.  A row's counts, as bytes, are its key."""
+    k = emit.shape[1]
+    rows = np.ascontiguousarray(emit).view(np.dtype((np.void, 8 * k))).ravel().tolist()
+    distinct = dict.fromkeys(rows)
+    counts = np.frombuffer(b"".join(distinct), np.int64).reshape(-1, k)
+    row_of, tag_of = np.nonzero(counts)
+    pairs = tuple(zip(tag_of.tolist(), map(math.log, (counts[row_of, tag_of] / uni[tag_of]).tolist())))
+    ends = np.cumsum(np.count_nonzero(counts, axis=1)).tolist()
+    distinct.update(zip(distinct, map(pairs.__getitem__, map(slice, [0, *ends], ends))))
+    return list(map(distinct.__getitem__, rows))
 
 
 def _deleted_interpolation(tri, bi, hist1, hist2, uni, n):
@@ -313,11 +367,14 @@ def viterbi(model, tokens, beam=1000.0):
     Log-space DP over (previous, current) tag states that expands only the
     states that survive: each surviving state at position i-1 is extended
     by every tag whose emission of token i is nonzero, scoring
-    (score + log_trans) + emission in that order, so each position costs
-    survivors x k additions at most.  With beam factor B > 0, states scoring
-    below best - ln(B) are dropped at each position, the first included;
-    beam = 0 keeps every state of nonzero probability, which is up to k^2
-    states a position and slower than a dense numpy step for large k.
+    (score + log_trans) + emission in that order.  The tags and their log
+    emissions come straight from the model's (tag id, log) pairs, so a
+    position costs the token's lookup, survivors x (its tags) additions,
+    at most survivors x k, and a sort of the survivors when there are two
+    or more.  With beam factor B > 0, states scoring below best - ln(B) are
+    dropped at each position, the first included; beam = 0 keeps every
+    state of nonzero probability, which is up to k^2 states a position and
+    slower than a dense numpy step for large k.
 
     Ties resolve to the lowest tag indices: survivors are extended in
     ascending (previous, current) order, a state keeps its first best
@@ -336,10 +393,16 @@ def viterbi(model, tokens, beam=1000.0):
         raise ValueError("viterbi: empty sentence")
     if beam != 0 and beam < 1:
         raise ValueError("beam factor must be 0 (exact) or >= 1")
-    check_tokens(tokens)
+    try:
+        "".join(tokens)  # in C, as is the test for "": check_tokens names the culprit
+    except TypeError:
+        check_tokens(tokens)
+    if "" in tokens:
+        check_tokens(tokens)
     tags = model.tagset
     k = len(tags)
     lt = model.log_trans_rows
+    emission_pairs = model.emission_pairs
     cut = math.log(beam) if beam > 0 else None
 
     # (t_{i-1}, t_i) -> score; before position 0 both tags are the boundary k,
@@ -347,15 +410,16 @@ def viterbi(model, tokens, beam=1000.0):
     states = {(k, k): 0.0}
     backs = []  # per position: (t_{i-1}, t_i) -> t_{i-2}
     for word in tokens:
-        emis = [(c, x) for c, x in enumerate(model.emission_logps(word).tolist()) if x > NEG_INF]
+        emis = emission_pairs(word)
         scores, back = {}, {}
-        for (a, b), s in sorted(states.items()):
+        for (a, b), s in sorted(states.items()) if len(states) > 1 else states.items():
             row = lt[a][b]
             for c, x in emis:
                 score = (s + row[c]) + x
-                if score > scores.get((b, c), NEG_INF):
-                    scores[b, c] = score
-                    back[b, c] = a
+                key = b, c
+                if score > scores.get(key, NEG_INF):
+                    scores[key] = score
+                    back[key] = a
         if not scores:
             return [tags[0]] * len(tokens)
         if cut is not None and len(scores) > 1:

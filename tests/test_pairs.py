@@ -1,0 +1,127 @@
+"""tools/pairs.py summarises alternating benchmark pairs; fed canned result
+lines here, so no benchmark runs."""
+
+import importlib.util
+import json
+import statistics
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+_SPEC = importlib.util.spec_from_file_location("pairs", _PATH)
+pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairs)
+
+METRICS = [
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "tag_tok_s", "unit": "tok/s", "better": "higher", "bound": 0.25},
+]
+
+
+def _line(setup, tag, failed=0, correct=True):
+    return {
+        "correct": correct,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {
+            "setup_s": {"value": setup, "unit": "s"},
+            "train_tok_s": {"value": 2e6, "unit": "tok/s"},
+            "tag_tok_s": {"value": tag, "unit": "tok/s"},
+            "peak_rss_mb": {"value": 63.0, "unit": "MB"},
+        },
+    }
+
+
+def _records(parent, change, workload="tnt-200k", first_seed=211):
+    """Records of alternating pairs, as run_pairs yields them."""
+    out = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        order = [("parent", p), ("change", c)]
+        for side, line in order if pair % 2 == 0 else order[::-1]:
+            out.append({"workload": workload, "seed": first_seed + pair, "pair": pair, "side": side,
+                        "commit": f"{side}-sha", "seconds": 55, "line": line})
+    return out
+
+
+class TestCompare:
+    def test_quartiles_are_the_exclusive_method(self):
+        runs = [5.0, 1.0, 4.0, 2.0, 3.0, 9.0]
+        q1, median, q3 = statistics.quantiles(runs, n=4)
+        assert pairs.spread(runs) == {"median": median, "q1": q1, "q3": q3, "runs": runs}
+        assert (q1, median, q3) == (1.75, 3.5, 6.0)
+
+    def test_ties_count_for_neither_side(self):
+        got = pairs.compare([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 3.0, 3.0], "higher", 0.25)
+        assert got["change_wins"] == 1
+        got = pairs.compare([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 3.0, 3.0], "lower", 0.25)
+        assert got["change_wins"] == 1
+
+    def test_claim_needs_nine_of_ten_wins_and_a_median_gap_above_the_parent_iqr(self):
+        parent = [100.0 + i for i in range(10)]  # IQR 5.5
+        wide = pairs.compare(parent, [x + 7 for x in parent], "higher", 0.25)
+        assert (wide["change_wins"], wide["parent_iqr"], wide["median_diff"]) == (10, 5.5, 7.0)
+        assert wide["claim_met"] and wide["within_bound"]
+        assert not pairs.compare(parent, [x + 5 for x in parent], "higher", 0.25)["claim_met"]
+        eight = [x + 7 for x in parent[:8]] + parent[8:]
+        assert pairs.compare(parent, eight, "higher", 0.25)["change_wins"] == 8
+        assert not pairs.compare(parent, eight, "higher", 0.25)["claim_met"]
+        lower = pairs.compare(parent, [x - 7 for x in parent], "lower", 0.25)
+        assert lower["claim_met"] and lower["change_over_parent"] < 1
+
+    @pytest.mark.parametrize("better,factor,within", [
+        ("higher", 0.76, True), ("higher", 0.74, False), ("higher", 2.0, True),
+        ("lower", 1.24, True), ("lower", 1.26, False), ("lower", 0.5, True),
+    ])
+    def test_bound_limits_how_much_the_median_may_get_worse(self, better, factor, within):
+        parent = [100.0, 100.0, 100.0]
+        assert pairs.compare(parent, [x * factor for x in parent], better, 0.25)["within_bound"] is within
+
+
+class TestSummary:
+    def test_workload_summary_from_canned_lines(self):
+        parent = [_line(0.40 + 0.01 * i, 1000.0 + i) for i in range(10)]
+        change = [_line(0.41 + 0.01 * i, 1200.0 + i, failed=i == 3) for i in range(10)]
+        got = pairs.summarise(_records(parent, change), METRICS)["tnt-200k"]
+        assert got["seeds"] == list(range(211, 221)) and got["pairs"] == 10
+        assert got["all_correct"]
+        assert got["failed_ops"] == {"parent": 0, "change": 1}
+        assert got["attempted_ops"] == {"parent": 1000, "change": 1000}
+        tag, setup = got["metrics"]["tag_tok_s"], got["metrics"]["setup_s"]
+        assert tag["parent"]["runs"] == [1000.0 + i for i in range(10)]
+        assert tag["change_wins"] == 10 and tag["claim_met"]
+        assert setup["change_wins"] == 0 and setup["within_bound"] and not setup["claim_met"]
+
+    def test_only_complete_pairs_count_and_a_wrong_run_shows(self):
+        records = _records([_line(1.0, 10.0)] * 3, [_line(1.0, 11.0, correct=False)] * 3)
+        got = pairs.summarise(records[:-1], METRICS)["tnt-200k"]
+        assert got["pairs"] == 2 and not got["all_correct"]
+
+    def test_report_from_a_log(self, tmp_path):
+        log = tmp_path / "runs.jsonl"
+        records = _records([_line(0.4, 1000.0 + i) for i in range(10)], [_line(0.4, 1300.0 + i) for i in range(10)])
+        log.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert pairs.main(["--from-log", str(log), "--label", "t", "--claim", "tnt-200k:tag_tok_s",
+                           "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+        assert doc["label"] == "t" and doc["claim"]["met"]
+        assert (doc["parent_commit"], doc["change_commit"]) == ("parent-sha", "change-sha")
+        assert doc["command"] == "python3 perfbench/run.py --workload W --seed N --seconds 55 --trace 0"
+        benchmark = json.loads(pairs.BENCHMARK.read_text(encoding="utf-8"))
+        assert sorted(doc["workloads"]["tnt-200k"]["metrics"]) == sorted(m["name"] for m in benchmark["end_to_end"])
+
+
+def test_the_side_that_runs_first_alternates(monkeypatch, tmp_path):
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, seed))
+        return _line(0.4, 1000.0)
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "_commit", str)
+    log = tmp_path / "runs.jsonl"
+    records = list(pairs.run_pairs({"parent": "P", "change": "C"}, ["tnt-200k"], [5, 6, 7], 55, str(log)))
+    assert calls == [("P", 5), ("C", 5), ("C", 6), ("P", 6), ("P", 7), ("C", 7)]
+    assert [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()] == records
+    assert {r["commit"] for r in records if r["side"] == "change"} == {"C"}

@@ -264,6 +264,29 @@ class TestPersistence:
         assert clone.tagset == model.tagset
         assert clone.vocab.freq_train == model.vocab.freq_train
 
+    def test_load_holds_little_beyond_the_loaded_arrays(self, tmp_path):
+        # paper dims: about 4 MB of arrays, most of them in the context cells
+        import tracemalloc
+
+        from seqtag.autodiff import Rng
+
+        corpus = _toy_corpus()
+        hp = _small_hp(word_dim=128, subtoken_dim=100, hidden_dim=100)
+        model = TaggerModel(hp, build_vocab(corpus), corpus.tagset(), 2, init_rng=Rng(1))
+        path = str(tmp_path / "model.bin")
+        save(model, path)
+        arrays = sum(p.v.nbytes for p in model.parameters())
+        assert arrays > 3 * 2**20
+        tracemalloc.start()
+        try:
+            clone = load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays + 2 * 2**20, (peak, arrays)
+        for got, want in zip(clone.parameters(), model.parameters(), strict=True):
+            np.testing.assert_array_equal(got.v, want.v)
+
     def test_corrupted_byte_is_detected(self, tmp_path):
         from seqtag.container import ModelError
 

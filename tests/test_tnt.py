@@ -234,6 +234,39 @@ class TestEmission:
                 row = m.emission_logps(w)
                 assert row.tolist() == [m.emission_logp(w, t) for t in m.tagset], w
 
+    def test_emission_pairs_are_the_nonzero_entries_of_the_dense_row(self):
+        # known forms of one or several tags, OOV words of both cases, and a
+        # model without tries, whose unknown words get every tag
+        train_c, test_c = make_suffix_corpus(120, 30, seed=4)
+        corpus = Corpus([Sentence([s.forms[0].capitalize()] + s.forms[1:], s.tags) for s in train_c])
+        no_tries = train_hmm(_random_corpus(Rng(8)))
+        no_tries.trie_upper = no_tries.trie_lower = SuffixTrie([], np.zeros((0, 4), dtype=np.int64), 0.0, 10)
+        words = [w for s in test_c for w in s.forms]
+        for model, ws in ((train_hmm(corpus), words + [w.capitalize() for w in words]), (no_tries, ["novel", "w1"])):
+            uni = model.emit.sum(axis=0).tolist()
+            for i, counts in enumerate(model.emit.tolist()):
+                want = tuple((t, math.log(c / uni[t])) for t, c in enumerate(counts) if c)
+                assert model.form_emissions[i] == want == model.emission_pairs(model.forms[i])
+            for w in ws:
+                row = model.emission_logps(w).tolist()
+                assert model.emission_pairs(w) == tuple((t, x) for t, x in enumerate(row) if x > -math.inf), w
+        assert any(len(p) > 1 for p in no_tries.form_emissions)
+        assert no_tries.emission_pairs("novel") == tuple((t, math.log(1 / 4)) for t in range(4))
+
+    def test_emission_rows_are_fresh_arrays(self):
+        # a caller that writes into a returned row must not change the model
+        train_c, _ = make_suffix_corpus(120, 10, seed=4)
+        corpus = Corpus([Sentence([s.forms[0].capitalize()] + s.forms[1:], s.tags) for s in train_c])
+        model = train_hmm(corpus)
+        assert model.trie_upper and model.trie_lower
+        known = model.forms[0]
+        for word in (known, "zzqing", "Zzqing"):
+            for query in (model.emission_logps, model.trie_lower.query, model.trie_upper.query):
+                want = query(word).tolist()
+                query(word)[:] = 1.0
+                assert query(word).tolist() == want, (word, query)
+        assert model.emission_logps(known).tolist() == [model.emission_logp(known, t) for t in model.tagset]
+
     def test_suffix_node_distributions_sum_to_one(self):
         train_c, _ = make_suffix_corpus(120, 10, seed=4)
         model = train_hmm(train_c)

@@ -12,16 +12,15 @@ alternates from pair to pair, parent first in pair 0.  Every finished run
 is appended to the --log file as one JSON line, so a log can be summarised
 again, or after an interruption, with --from-log.
 
-The summary gives, per workload and end-to-end metric of the BENCHMARK.json
-beside this tool's directory: each
-side's runs, median and quartiles (statistics.quantiles, exclusive
-method); the pairs the change wins, ties counting for neither side; the
-change's median over the parent's; and whether the metric stayed within
-its bound, that is, whether its median got worse by no more than the bound
-(a share of the parent's median).  A metric's claim holds when the change
-wins at least 9 of 10 pairs (the same share of other counts) and its median
-is better by more than the parent's interquartile range.  Standard library
-only.
+The summary gives, per workload and end-to-end metric of the repository's
+BENCHMARK.json (the one above this tool's directory): each side's runs,
+median and quartiles (statistics.quantiles, exclusive method); the pairs
+the change wins, ties counting for neither side; the change's median over
+the parent's; and whether the metric stayed within its bound, that is,
+whether its median got worse by no more than the bound (a share of the
+parent's median).  A metric's claim holds when the change wins at least 9
+of 10 pairs (the same share of other counts) and its median is better by
+more than the parent's interquartile range.  Standard library only.
 """
 
 import argparse

@@ -4,13 +4,13 @@ The engine is deliberately small: a flat operation tape and exactly the
 node kinds the taggers record.  Besides parameter leaves there are eight:
 
   add       elementwise sum (the joint tag + frequency loss)
-  affine    x W^T + b (the tag and frequency heads)
+  affine    x W^T + b (the heads and the LSTM input projections)
   concat    join along the last axis (word o char o byte, forward o reverse)
   take      copy of x[index] (final states of the subword bi-LSTMs)
   lookup    embedding-table rows, with a sparse row gradient
   xent      summed softmax cross-entropy, one gold class per row
   noise     additive Gaussian noise, identity gradient
-  lstm_seq  a whole LSTM run over table rows picked by ids (recurrent.py)
+  lstm_seq  an LSTM recurrence over rows of a projected input (recurrent.py)
 
 The ops that carry a sentence take a matrix with one row per token, so a
 sentence records a few nodes, not a few per token.  Everything runs in
@@ -353,9 +353,7 @@ def _bw_affine(tape, i, g):
     wv, xv = tape.aux[i]
     g2 = g.reshape(-1, g.shape[-1])
     tape.acc_matmul(pw, g2.T, xv.reshape(g2.shape[0], -1))
-    if px is not None:
-        tape.gbuf(px)
-        tape.grads[px] += (g2 @ wv).reshape(xv.shape)
+    tape.acc_matmul(px, g, wv)
     tape.acc(pb, g2.sum(axis=0))
 
 

@@ -31,7 +31,14 @@ class DataError(Exception):
 
 def check_tokens(tokens):
     """ValueError naming the position and repr of the first token that is
-    not a non-empty string."""
+    not a non-empty string.  The usual case, where every token is one, is
+    tested in C; only a failing list is searched for the culprit."""
+    try:
+        "".join(tokens)
+        if "" not in tokens:
+            return
+    except TypeError:
+        pass
     for k, form in enumerate(tokens):
         if not isinstance(form, str) or not form:
             raise ValueError(f"token {k} is {form!r}, not a non-empty string")

@@ -1,4 +1,4 @@
-"""LSTM cells run over whole sequences as single tape nodes.
+"""LSTM cells run over whole sequences: a projection and a recurrence node.
 
 The LSTM is the standard input/forget/output-gate formulation without
 peepholes:
@@ -13,42 +13,41 @@ Initial states are zero.
 
 `rnn_seq` runs one cell in one direction over a padded batch of B rows
 whose row b holds a sequence of lengths[b] <= T steps; what lies beyond a
-row's length is padding and never enters a state.  The input is rows of a
-matrix picked by integer ids: step p of row b reads row ids[b, p] of a
-(V, D) table.  A subword encoder passes its embedding table and its
-symbol ids; a (B, T, D) or (T, D) batch is the table of its own positions.
-Following Appleyard et al. 2016 (arXiv:1604.01946), the whole run is one
-tape node:
+row's length is padding and never enters a state.  The input is rows of an
+(N, D) matrix picked by integer ids: step p of row b reads row ids[b, p].
+A subword encoder passes the table rows of a sentence's distinct symbols
+and each symbol position's index among them; the context bi-LSTM passes
+the sentence's token matrix with ids 0..T-1.  Following Appleyard et al.
+2016 (arXiv:1604.01946), the input projection is one GEMM outside the
+recurrence, and the recurrence is one tape node:
 
+* Projection.  P = x W_x^T + b is an `affine` node over the N rows, so a
+  sentence's char runs project its few distinct symbols, not every
+  character position; that node owns the gradients of W_x, b and x.
 * Packing.  Rows are sorted by length, longest first, and the valid
   positions are gathered step-major: step t covers the n_t rows still
   running, which are a prefix of the sorted rows.  A finished row drops out
   of the prefix and so keeps its final state.
 * Reverse direction.  Step t of row b reads position lengths[b] - 1 - t:
   each row's own prefix is reversed, so padding never comes first.
-* Forward.  One GEMM projects every distinct input row, P = X[u] W_x^T + b
-  over the ids u that some valid position reads, and each packed step
-  takes its row of P: a sentence's char runs project its few distinct
-  symbols, not every character position.  The recurrence is a loop over T
-  steps, each adding h W_h^T to an (n_t, 4H) block of gate rows.  The
-  state after step t is written back to the position that step read, so
-  output row b, position p is the state after consuming x_0..x_p (forward)
-  or x_{len-1}..x_p (reverse).
+* Forward.  Each packed step takes its row of P.  The recurrence is a loop
+  over T steps, each adding h W_h^T to an (n_t, 4H) block of gate rows.
+  The state after step t is written back to the position that step read,
+  so output row b, position p is the state after consuming x_0..x_p
+  (forward) or x_{len-1}..x_p (reverse).
 * Backward.  The same loop runs in reverse and fills the packed gate
-  gradient dA.  One GEMM with a one-hot matrix sums dA per distinct row
-  into dP; then dW_x = dP^T X[u], dX[u] = dP W_x, dW_h = dA^T H_prev and
-  db = sum(dP) are one GEMM or one sum each.
+  gradient dA.  Then dW_h = dA^T H_prev, and dP, which sums dA over the
+  positions that read each row, is one GEMM with an (N x packed) one-hot
+  matrix.
 
-The node takes the cell's Parameter leaves as parents, so tape consumers
+The `lstm_seq` node takes the W_h leaf and P as parents, so tape consumers
 see which layer owns it.  Gradients are checked against finite differences
 and against a per-step numpy reference in the test suite.
 """
 
-from collections import namedtuple
-
 import numpy as np
 
-from .autodiff import BACKWARD, Parameter, Tensor, concat, glorot, take, wrap
+from .autodiff import BACKWARD, Parameter, Tensor, affine, concat, glorot, take, wrap
 
 
 class LstmCell:
@@ -169,112 +168,70 @@ def _previous(states, counts):
     return out
 
 
-# A checked batch: the (V, D) table, the distinct ids u that valid positions
-# read, each (B, T) position's index into u (0 at padding), the (B,) lengths,
-# and whether the input was one unbatched sequence.
-Batch = namedtuple("Batch", ["table", "u", "where", "lengths", "one"])
-
-
-def _batch(x, ids, lengths, cell):
-    """Batch of x and ids; without ids every position of a (B, T, D) or
-    (T, D) x is its own row."""
-    positions = ids is None
-    if positions:
-        if x.ndim not in (2, 3) or x.shape[-1] != cell.input_dim:
-            raise ValueError(f"rnn_seq: input of shape {x.shape}, expected (T, {cell.input_dim}) "
-                             f"or (B, T, {cell.input_dim})")
-        ids = np.arange(x.size // x.shape[-1]).reshape(x.shape[:-1])
-        x = x.reshape(-1, x.shape[-1])
-    else:
-        ids = np.asarray(ids)
-        if x.ndim != 2 or x.shape[1] != cell.input_dim or ids.ndim not in (1, 2) or ids.dtype.kind not in "iu":
-            raise ValueError(f"rnn_seq: table of shape {x.shape} with ids of shape {ids.shape}, "
-                             f"expected (V, {cell.input_dim}) with integer (T,) or (B, T) ids")
-        if ids.size and not (0 <= ids.min() and ids.max() < x.shape[0]):
-            raise IndexError(f"rnn_seq: ids outside a table of {x.shape[0]} rows")
-    one = ids.ndim == 1
-    ids = ids[None] if one else ids
-    b_rows, steps = ids.shape
+def _grid(x, ids, lengths, cell):
+    """ids as a (B, T) grid and lengths as (B,), checked against x's rows."""
+    if x.ndim != 2 or x.shape[1] != cell.input_dim or ids.ndim not in (1, 2) or ids.dtype.kind not in "iu":
+        raise ValueError(f"rnn_seq: rows of shape {x.shape} with ids of shape {ids.shape}, "
+                         f"expected (N, {cell.input_dim}) with integer (T,) or (B, T) ids")
+    if ids.size and not (0 <= ids.min() and ids.max() < x.shape[0]):
+        raise IndexError(f"rnn_seq: ids outside {x.shape[0]} rows")
+    grid = ids[None] if ids.ndim == 1 else ids
+    b_rows, steps = grid.shape
     lengths = np.full(b_rows, steps) if lengths is None else np.asarray(lengths, dtype=np.intp)
     if b_rows == 0 or steps == 0 or lengths.shape != (b_rows,):
         raise ValueError(f"rnn_seq: need one length per row of a non-empty batch, got {lengths}")
     if lengths.min() < 1 or lengths.max() > steps:
         raise ValueError(f"rnn_seq: lengths must lie in 1..{steps}, got {lengths.tolist()}")
-    valid = np.arange(steps) < lengths[:, None]
-    if positions:  # distinct and ascending already
-        u = ids[valid]
-        inv = np.arange(len(u))
-    else:
-        u, inv = np.unique(ids[valid], return_inverse=True)
-    where = np.zeros(ids.shape, dtype=np.intp)
-    where[valid] = inv
-    return Batch(x, u, where, lengths, one)
+    return grid, lengths
 
 
-def _run(cell, x, batch, reverse, tape):
-    """One direction of `cell` over a Batch of x's rows."""
-    b_rows, steps = batch.where.shape
-    hdim = cell.hidden_dim
-    rows, pos, counts = _packing(batch.lengths, steps, reverse)
-    inv = batch.where[rows, pos]
-    xu = batch.table[batch.u]
-    wx, wh = cell.W_x.v, cell.W_h.v
-    h_all, cache = _lstm_forward((xu @ wx.T + cell.b.v)[inv], wh, counts, hdim)
-    out = np.zeros((b_rows, steps, hdim))
+def rnn_seq(cell, x, ids, lengths=None, reverse=False, tape=None):
+    """States of `cell` run over every row of a padded batch.
+
+    Step p of row b reads row ids[b, p] of the (N, D) matrix x; ids is (B,
+    T), with `lengths` giving each row's steps (1 <= length <= T), or (T,)
+    for one sequence of T steps.  Returns the states at the positions they
+    were produced, (B, T, H) or (T, H); padded positions hold zeros.  With
+    `reverse`, each row is consumed from its last valid position back to
+    its first.  The tape gets an affine node and an lstm_seq node.
+    """
+    x = wrap(tape, x)
+    ids = np.asarray(ids)
+    grid, lengths = _grid(x.v, ids, lengths, cell)
+    rows, pos, counts = _packing(lengths, grid.shape[1], reverse)
+    inv = grid[rows, pos]
+    p = affine(tape, cell.W_x, x, cell.b)
+    h_all, cache = _lstm_forward(p.v[inv], cell.W_h.v, counts, cell.hidden_dim)
+    out = np.zeros(grid.shape + (cell.hidden_dim,))
     out[rows, pos] = h_all
-    if batch.one:
+    if ids.ndim == 1:
         out = out[0]
     if tape is None:
         return Tensor(out)
-    pw, ph, pb = (tape.leaf(p).node for p in cell.parameters())
-    aux = (wx, wh, xu, batch.u, inv, rows, pos, counts, h_all, cache)
-    return tape.record("lstm_seq", (pw, ph, pb, x.node), out, aux)
+    aux = (cell.W_h.v, inv, rows, pos, counts, h_all, cache)
+    return tape.record("lstm_seq", (tape.leaf(cell.W_h).node, p.node), out, aux)
 
 
-def rnn_seq(cell, x, lengths=None, reverse=False, tape=None, ids=None):
-    """States of `cell` run over every row of a padded batch, as one tape node.
-
-    With `ids`, x is a (V, D) table and step p of row b reads x[ids[b, p]];
-    ids is (B, T), with `lengths` giving each row's steps (1 <= length <=
-    T), or (T,) for one sequence of T steps.  Without ids, x is (B, T, D)
-    or (T, D) and every position reads its own row.  Returns the states at
-    the positions they were produced, (B, T, H) or (T, H); padded positions
-    hold zeros.  With `reverse`, each row is consumed from its last valid
-    position back to its first.
-    """
-    x = wrap(tape, x)
-    return _run(cell, x, _batch(x.v, ids, lengths, cell), reverse, tape)
-
-
-def _bw_rnn_seq(tape, idx, g):
-    pw, ph, pb, px = tape.parents[idx]
-    wx, wh, xu, u, inv, rows, pos, counts, h_all, cache = tape.aux[idx]
+def _bw_lstm_seq(tape, idx, g):
+    ph, pp = tape.parents[idx]
+    wh, inv, rows, pos, counts, h_all, cache = tape.aux[idx]
     g3 = g if g.ndim == 3 else g[None]
     da = _lstm_backward(g3[rows, pos], wh, counts, wh.shape[1], cache)
-    if len(u) == len(inv):  # every row read once: the per-row sum is a permutation
-        dp = np.empty_like(da)
-        dp[inv] = da
-    else:
-        dp = (np.arange(len(u))[:, None] == inv).astype(np.float64) @ da
-    tape.acc_matmul(pw, dp.T, xu)
-    if ph is not None:
-        tape.acc_matmul(ph, da.T, _previous(h_all, counts))
-    tape.acc(pb, dp.sum(axis=0))
-    if px is not None:
-        gx = tape.gbuf(px)
-        gx.reshape(-1, gx.shape[-1])[u] += dp @ wx  # a view: gbuf arrays are contiguous
+    tape.acc_matmul(ph, da.T, _previous(h_all, counts))
+    # row k of P sums the entries that read it: a one-hot product adds only zeros besides
+    tape.acc_matmul(pp, (np.arange(len(tape.values[pp]))[:, None] == inv).astype(np.float64), da)
 
 
-BACKWARD["lstm_seq"] = _bw_rnn_seq
+BACKWARD["lstm_seq"] = _bw_lstm_seq
 
 
-def birnn_seq(cell_f, cell_r, x, lengths, tape=None, ids=None):
+def birnn_seq(cell_f, cell_r, x, ids, lengths, tape=None):
     """(B, 2H) final states of a forward and a reverse run over each row;
-    x and ids as for rnn_seq, in their batched form."""
-    x = wrap(tape, x)
-    batch = _batch(x.v, ids, lengths, cell_f)  # one np.unique for both directions
-    fwd, rev = _run(cell_f, x, batch, False, tape), _run(cell_r, x, batch, True, tape)
-    last = take(tape, fwd, (np.arange(len(batch.lengths)), batch.lengths - 1))
+    x, ids (B, T) and lengths as for rnn_seq."""
+    fwd = rnn_seq(cell_f, x, ids, lengths, False, tape)
+    rev = rnn_seq(cell_r, x, ids, lengths, True, tape)
+    lengths = np.asarray(lengths)
+    last = take(tape, fwd, (np.arange(len(lengths)), lengths - 1))
     first = take(tape, rev, (slice(None), 0))
     return concat(tape, [last, first])
 
@@ -286,5 +243,5 @@ def birnn_ctx(cell_f, cell_r, x, tape=None):
     reverse state after consuming x_T..x_i; both halves include position i.
     """
     x = wrap(tape, x)
-    batch = _batch(x.v, None, None, cell_f)
-    return concat(tape, [_run(cell_f, x, batch, False, tape), _run(cell_r, x, batch, True, tape)])
+    ids = np.arange(len(x.v))
+    return concat(tape, [rnn_seq(cell_f, x, ids, tape=tape), rnn_seq(cell_r, x, ids, reverse=True, tape=tape)])

@@ -17,10 +17,10 @@ encoder pads the sentence's symbol sequences to the longest one (with the
 end marker, which no state ever reads) and runs its forward and reverse
 LSTMs over all words as one batch, so a sentence costs as many recurrent
 steps as its longest word has symbols, not the sum over its words.  The
-LSTMs take the embedding table and the symbol ids themselves, so one GEMM
-projects every distinct input row: a sentence's few dozen distinct symbols,
-not its hundred-odd character positions.  Row k equals the encoding of word
-k on its own.
+LSTMs read the table rows of the sentence's distinct symbols, picked by
+their index among them, so each direction's input projection is one GEMM
+over a few dozen rows, not the hundred-odd character positions.  Row k
+equals the encoding of word k on its own.
 
 Pretrained word embeddings are read into a {token: vector} map before the
 model is built, and the file's width becomes the word table's width.
@@ -35,7 +35,7 @@ from collections import Counter
 
 import numpy as np
 
-from .autodiff import Parameter, concat, glorot, lookup_row
+from .autodiff import Parameter, concat, glorot, lookup_row, take
 from .corpus import DataError, check_tokens, not_utf8, open_text
 from .recurrent import LstmCell, birnn_seq
 
@@ -137,8 +137,10 @@ class Subword:
         return ids, lengths
 
     def encode(self, words, tape=None):
+        """(B, 2H) encodings of B words, run over their distinct symbols' rows."""
         ids, lengths = self.ids(words)
-        return birnn_seq(self.fwd, self.rev, self.table, lengths, tape, ids=ids)
+        u, inv = np.unique(ids, return_inverse=True)
+        return birnn_seq(self.fwd, self.rev, take(tape, self.table, u), inv.reshape(ids.shape), lengths, tape)
 
 
 class TokenEncoder:

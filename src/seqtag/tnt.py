@@ -13,9 +13,7 @@ form, a tuple of (tag id, log P(form | tag)) pairs over the tags it was
 seen with, in ascending tag order, built from the distinct rows of `emit`
 so that forms with equal counts share one tuple.  A suffix trie keeps each
 queried row as the same kind of tuple, and a model with no suffix data
-falls back to every tag with log 1/k.  The dense (k,) rows of
-`emission_logps` and `SuffixTrie.query` are built from the pairs on each
-call, so they hold the same floats and a caller may write into them.
+falls back to every tag with log 1/k.
 
 Everything is counted on integer codes.  `train_hmm` takes the tagset, the
 forms in first-occurrence order and every token's tag and form id from
@@ -82,15 +80,6 @@ def _log(p):
 
 
 _CODE_POINTS = 0x110000  # np.unique orders a depth by parent row * _CODE_POINTS + code point
-
-
-def _dense(pairs, k):
-    """The (k,) emission log row of (tag id, log) pairs, -inf elsewhere."""
-    row = np.full(k, NEG_INF)
-    if pairs:
-        tags, logps = zip(*pairs)
-        row[list(tags)] = logps
-    return row
 
 
 class SuffixTrie:
@@ -174,11 +163,6 @@ class SuffixTrie:
             ratios = [d / p if p > 0 else 0.0 for d, p in zip(self.dist[row].tolist(), self.dist[0].tolist())]
             pairs = self._pairs[row] = tuple((t, math.log(q)) for t, q in enumerate(ratios) if q > 0)
         return pairs
-
-    def query(self, word):
-        """Emission log row of the longest matching suffix (root fallback):
-        `emission_pairs` as a fresh (k,) array, -inf for the other tags."""
-        return _dense(self.emission_pairs(word), self.dist.shape[1])
 
 
 def _counts(name, a, shape):
@@ -287,12 +271,8 @@ class TrigramModel:
         trie = next(filter(None, tries), None)  # the other case's trie if this one is empty
         return self.uniform if trie is None else trie.emission_pairs(word)
 
-    def emission_logps(self, word):
-        """[emission_logp(word, t) for t in tagset] as a fresh array."""
-        return _dense(self.emission_pairs(word), len(self.tagset))
-
     def emission_logp(self, word, tag):
-        return float(self.emission_logps(word)[self.tag_index[tag]])
+        return dict(self.emission_pairs(word)).get(self.tag_index[tag], NEG_INF)
 
     def training_frequency(self, form):
         row = self.form_index.get(form)
@@ -393,12 +373,7 @@ def viterbi(model, tokens, beam=1000.0):
         raise ValueError("viterbi: empty sentence")
     if beam != 0 and beam < 1:
         raise ValueError("beam factor must be 0 (exact) or >= 1")
-    try:
-        "".join(tokens)  # in C, as is the test for "": check_tokens names the culprit
-    except TypeError:
-        check_tokens(tokens)
-    if "" in tokens:
-        check_tokens(tokens)
+    check_tokens(tokens)
     tags = model.tagset
     k = len(tags)
     lt = model.log_trans_rows

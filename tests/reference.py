@@ -331,7 +331,7 @@ def reference_viterbi(model, tokens, beam=1000.0):
     tags = model.tagset
     k = len(tags)
     lt0, lt1, lt = model.log_trans[k, k], model.log_trans[k, :k], model.log_trans[:k, :k]
-    emis = [model.emission_logps(w) for w in tokens]
+    emis = [np.array([model.emission_logp(w, t) for t in tags]) for w in tokens]
     cut = math.log(beam) if beam > 0 else None
 
     def prune(v):

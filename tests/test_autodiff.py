@@ -234,7 +234,7 @@ class TestGradientCheck:
         x = rng.normal(4)
 
         def loss_fn(tape):
-            return softmax_xent(tape, rnn_seq(cell, x[None], tape=tape), [2])
+            return softmax_xent(tape, rnn_seq(cell, x[None], [0], tape=tape), [2])
 
         assert gradient_check(loss_fn, [cell.W_x, cell.b], h=1e-5) < 1e-4
 
@@ -263,7 +263,7 @@ class TestGradientCheck:
             r = lookup_row(tape, e, [0, 3])
             both = concat(tape, [r, add(tape, r, r)])
             x = gaussian_noise(tape, both, 0.1, Rng(5))  # a fresh stream: the same noise every call
-            h = rnn_seq(cell, affine(tape, wt, x, bt), tape=tape)
+            h = rnn_seq(cell, affine(tape, wt, x, bt), [0, 1], tape=tape)
             return softmax_xent(tape, h, [1, 2])
 
         assert gradient_check(loss_fn, [emb, w, b] + cell.parameters(), h=1e-5) < 1e-4
@@ -279,12 +279,12 @@ def _one_rule_losses():
     w = Parameter("w", glorot(rng, 4, 3))
     bias = Parameter("bias", rng.normal(4, 0.1))
     emb = Parameter("emb", glorot(rng, 5, 3))
-    batch = Parameter("batch", rng.normal((6, 3)).reshape(2, 3, 3))  # row 1 has one step; the rest is padding
+    batch = Parameter("batch", rng.normal((6, 3)))  # rows 0-2 for sequence 0, 3 for 1; 4 and 5 are padding
     lstm = LstmCell("lstm", 3, 2, rng)
     gold = [2, 0]
 
     def lstm_loss(tape):
-        states = rnn_seq(lstm, batch, [3, 1], False, tape)
+        states = rnn_seq(lstm, batch, np.arange(6).reshape(2, 3), [3, 1], False, tape)
         return softmax_xent(tape, take(tape, states, (np.arange(2), np.array([2, 0]))), [1, 0])
 
     return {

@@ -1,4 +1,4 @@
-"""Fused sequence nodes and bidirectional compositions against per-step references."""
+"""Sequence runs and bidirectional compositions against per-step references."""
 
 import numpy as np
 import pytest
@@ -33,11 +33,26 @@ def _ragged_batch(rng, lengths, dim):
     return x
 
 
+def _rows(x):
+    """The (B*T, D) rows of a (B, T, D) batch and the (B, T) ids that read
+    each position's own row."""
+    return x.reshape(-1, x.shape[-1]), np.arange(x.shape[0] * x.shape[1]).reshape(x.shape[:2])
+
+
+def _sweep(tape, out, g):
+    """Reverse sweep from `out`, seeded with the gradient g of any shape."""
+    tape.grads = [None] * len(tape)
+    tape.grads[out.node] = g
+    for i in range(out.node, -1, -1):
+        if tape.grads[i] is not None and tape.kinds[i] != "leaf":
+            BACKWARD[tape.kinds[i]](tape, i, tape.grads[i])
+
+
 class TestCellStep:
     def test_zero_lstm_params_give_zero_hidden(self):
         # o = 0.5 and tanh(c') = 0, so h' = 0 regardless of input
         cell = LstmCell("z", 3, 4)
-        out = rnn_seq(cell, np.array([[1.0, -2.0, 0.5]]))
+        out = rnn_seq(cell, np.array([[1.0, -2.0, 0.5]]), [0])
         np.testing.assert_array_equal(out.v, np.zeros((1, 4)))
 
     def test_lstm_matches_reference(self):
@@ -46,14 +61,14 @@ class TestCellStep:
         xs = Rng(99).normal(6).reshape(2, 3)
         h, c = reference_lstm_step(cell, xs[0], np.zeros(4), np.zeros(4))
         want_h, _ = reference_lstm_step(cell, xs[1], h, c)
-        got = rnn_seq(cell, xs)
+        got = rnn_seq(cell, xs, [0, 1])
         np.testing.assert_allclose(got.v[0], h, rtol=1e-12)
         np.testing.assert_allclose(got.v[1], want_h, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         cell = _seeded_lstm()
         with pytest.raises(ValueError):
-            rnn_seq(cell, np.zeros((2, 5)))
+            rnn_seq(cell, np.zeros((2, 5)), [0, 1])
 
     def test_gate_views_have_spec_shapes(self):
         # gates are stacked [i, f, g, o]; each block has the spec's shape
@@ -68,33 +83,33 @@ class TestRun:
     def test_length_one_forward_equals_reverse(self):
         cell = _seeded_lstm()
         xs = Rng(1).normal(3).reshape(1, 3)
-        np.testing.assert_array_equal(rnn_seq(cell, xs).v, rnn_seq(cell, xs, reverse=True).v)
+        np.testing.assert_array_equal(rnn_seq(cell, xs, [0]).v, rnn_seq(cell, xs, [0], reverse=True).v)
 
     def test_reverse_equals_forward_of_reversed(self):
         cell = _seeded_lstm()
         xs = Rng(2).normal(15).reshape(5, 3)
-        rev = rnn_seq(cell, xs, reverse=True).v
-        fwd = rnn_seq(cell, xs[::-1]).v
+        rev = rnn_seq(cell, xs, np.arange(5), reverse=True).v
+        fwd = rnn_seq(cell, xs[::-1], np.arange(5)).v
         np.testing.assert_array_equal(rev, fwd[::-1])
 
     def test_three_step_reference(self):
         cell = _seeded_lstm()
         xs = Rng(3).normal(9).reshape(3, 3)
-        states = rnn_seq(cell, xs).v
+        states = rnn_seq(cell, xs, np.arange(3)).v
         for got, want in zip(states, reference_states(cell, xs)):
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            rnn_seq(_seeded_lstm(), np.zeros((0, 3)))
+            rnn_seq(_seeded_lstm(), np.zeros((0, 3)), np.arange(0))
         with pytest.raises(ValueError):
-            rnn_seq(_seeded_lstm(), np.zeros((2, 3, 3)), lengths=[2, 0])
+            rnn_seq(_seeded_lstm(), *_rows(np.zeros((2, 3, 3))), lengths=[2, 0])
 
     def test_lengths_outside_the_batch_rejected(self):
         with pytest.raises(ValueError):
-            rnn_seq(_seeded_lstm(), np.zeros((2, 3, 3)), lengths=[2, 4])
+            rnn_seq(_seeded_lstm(), *_rows(np.zeros((2, 3, 3))), lengths=[2, 4])
         with pytest.raises(ValueError):
-            rnn_seq(_seeded_lstm(), np.zeros((2, 3, 3)), lengths=[2])
+            rnn_seq(_seeded_lstm(), *_rows(np.zeros((2, 3, 3))), lengths=[2])
 
     @pytest.mark.parametrize("kind", ["lstm"])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -102,7 +117,7 @@ class TestRun:
         cell = _seeded_lstm()
         lengths = [3, 1, 5, 3]
         x = _ragged_batch(Rng(4), lengths, 3)
-        out = rnn_seq(cell, x, lengths, reverse).v
+        out = rnn_seq(cell, *_rows(x), lengths, reverse).v
         for b, n in enumerate(lengths):
             xs = x[b, :n][::-1] if reverse else x[b, :n]
             want = reference_states(cell, xs)
@@ -118,25 +133,24 @@ class TestFusedGradientsAgainstReference:
         cell = _seeded_lstm(input_dim=3, hidden_dim=4)
         lengths = [1, 3, 5]
         rng = Rng(61)
-        x = Parameter("x", np.nan_to_num(_ragged_batch(rng, lengths, 3)))
+        batch = np.nan_to_num(_ragged_batch(rng, lengths, 3))
+        x, ids = _rows(batch)
+        x = Parameter("x", x)
         g = rng.normal(3 * 5 * 4).reshape(3, 5, 4)  # dL/d(out), padding included
         tape = Tape()
-        out = rnn_seq(cell, x, lengths, reverse, tape)
-        tape.grads = [None] * len(tape)
-        tape.grads[out.node] = g
-        BACKWARD[tape.kinds[out.node]](tape, out.node, g)
+        _sweep(tape, rnn_seq(cell, x, ids, lengths, reverse, tape), g)
 
         want = [np.zeros_like(p.v) for p in cell.parameters()]
-        want_x = np.zeros_like(x.v)
+        want_x = np.zeros_like(batch)
         for b, n in enumerate(lengths):
             order = np.arange(n)[::-1] if reverse else np.arange(n)
-            dwx, dwh, db, dxs = reference_grads(cell, x.v[b, order], g[b, order])
+            dwx, dwh, db, dxs = reference_grads(cell, batch[b, order], g[b, order])
             for acc, part in zip(want, (dwx, dwh, db)):
                 acc += part
             want_x[b, order] = dxs
         for p, w in zip(cell.parameters(), want):
             np.testing.assert_allclose(tape.grad(p), w, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(tape.grad(x), want_x, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(tape.grad(x), want_x.reshape(x.v.shape), rtol=0, atol=1e-10)
 
 
 @st.composite
@@ -164,9 +178,8 @@ class TestTableRows:
         table = Parameter("emb", rng.normal((n_rows, 3)))
         g = rng.normal((ids.size, 4)).reshape(ids.shape + (4,))
         tape = Tape()
-        out = rnn_seq(cell, table, lengths, reverse, tape, ids=ids)
-        tape.grads = [None] * len(tape)
-        BACKWARD["lstm_seq"](tape, out.node, g)
+        out = rnn_seq(cell, table, ids, lengths, reverse, tape)
+        _sweep(tape, out, g)
 
         want, want_grads = reference_table_run(cell, table.v, ids, lengths, reverse, g)
         np.testing.assert_allclose(out.v, want, rtol=0, atol=1e-12)
@@ -177,14 +190,14 @@ class TestTableRows:
         cell = _seeded_lstm()
         table = Rng(5).normal((4, 3))
         ids = np.array([2, 0, 2, 3])
-        want = rnn_seq(cell, table[None, ids], [4]).v[0]
-        np.testing.assert_allclose(rnn_seq(cell, table, ids=ids).v, want, rtol=0, atol=1e-14)
+        want = rnn_seq(cell, table[ids], np.arange(4)).v
+        np.testing.assert_allclose(rnn_seq(cell, table, ids).v, want, rtol=0, atol=1e-14)
 
     def test_unread_rows_get_a_zero_gradient(self):
         cell = _seeded_lstm()
         table = Parameter("emb", Rng(6).normal((5, 3)))
         tape = Tape()
-        out = rnn_seq(cell, table, [2, 1], True, tape, ids=np.array([[1, 3], [3, 4]]))  # row 1 pads with 4
+        out = rnn_seq(cell, table, np.array([[1, 3], [3, 4]]), [2, 1], True, tape)  # row 1 pads with 4
         loss = softmax_xent(tape, take(tape, out, (np.array([0, 0, 1]), np.array([0, 1, 0]))), [0, 1, 2])
         tape.backward(loss)
         grad = tape.grad(table)
@@ -195,41 +208,41 @@ class TestTableRows:
     def test_bad_ids_rejected(self):
         cell, table = _seeded_lstm(), np.zeros((4, 3))
         with pytest.raises(IndexError):
-            rnn_seq(cell, table, ids=np.array([0, 4]))
+            rnn_seq(cell, table, np.array([0, 4]))
         with pytest.raises(IndexError):
-            rnn_seq(cell, table, ids=np.array([-1, 2]))
+            rnn_seq(cell, table, np.array([-1, 2]))
         with pytest.raises(ValueError):
-            rnn_seq(cell, table, ids=np.array([0.0, 1.0]))
+            rnn_seq(cell, table, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
-            rnn_seq(cell, np.zeros((4, 5)), ids=np.array([0, 1]))
+            rnn_seq(cell, np.zeros((4, 5)), np.array([0, 1]))
         with pytest.raises(ValueError):
-            rnn_seq(cell, np.zeros((2, 4, 3)), ids=np.array([0, 1]))
+            rnn_seq(cell, np.zeros((2, 4, 3)), np.array([0, 1]))
 
     def test_birnn_seq_over_ids_equals_the_gathered_batch(self):
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
         table = Rng(9).normal((6, 3))
         ids, lengths = np.array([[1, 1, 5, 2], [5, 0, 0, 0]]), [4, 1]
-        want = birnn_seq(cf, cr, table[ids], lengths).v
-        np.testing.assert_allclose(birnn_seq(cf, cr, table, lengths, ids=ids).v, want, rtol=0, atol=1e-14)
+        want = birnn_seq(cf, cr, *_rows(table[ids]), lengths).v
+        np.testing.assert_allclose(birnn_seq(cf, cr, table, ids, lengths).v, want, rtol=0, atol=1e-14)
 
 
 class TestBiRnn:
     def test_seq_single_element_same_cell_duplicates_halves(self):
         cell = _seeded_lstm()
         x = Rng(4).normal(3).reshape(1, 1, 3)
-        v = birnn_seq(cell, cell, x, [1])
+        v = birnn_seq(cell, cell, *_rows(x), [1])
         np.testing.assert_array_equal(v.v[0, :4], v.v[0, 4:])
 
     def test_seq_output_dimension(self):
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
         x = Rng(9).normal(3 * 5 * 3).reshape(3, 5, 3)
-        assert birnn_seq(cf, cr, x, [1, 2, 5]).v.shape == (3, 8)
+        assert birnn_seq(cf, cr, *_rows(x), [1, 2, 5]).v.shape == (3, 8)
 
     def test_seq_matches_reference(self):
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
         lengths = [4, 2]
         x = _ragged_batch(Rng(10), lengths, 3)
-        v = birnn_seq(cf, cr, x, lengths).v
+        v = birnn_seq(cf, cr, *_rows(x), lengths).v
         for b, n in enumerate(lengths):
             h = reference_states(cf, x[b, :n])[-1]
             hr = reference_states(cr, x[b, :n][::-1])[-1]
@@ -238,13 +251,13 @@ class TestBiRnn:
     def test_ctx_single_position_equals_seq(self):
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
         xs = Rng(11).normal(3).reshape(1, 3)
-        np.testing.assert_array_equal(birnn_ctx(cf, cr, xs).v, birnn_seq(cf, cr, xs[None], [1]).v)
+        np.testing.assert_array_equal(birnn_ctx(cf, cr, xs).v, birnn_seq(cf, cr, *_rows(xs[None]), [1]).v)
 
     def test_ctx_last_forward_half_matches_seq(self):
         cf, cr = _seeded_lstm(seed=7), _seeded_lstm(seed=8)
         xs = Rng(12).normal(15).reshape(5, 3)
         vs = birnn_ctx(cf, cr, xs).v
-        seq = birnn_seq(cf, cr, xs[None], [5]).v
+        seq = birnn_seq(cf, cr, *_rows(xs[None]), [5]).v
         np.testing.assert_array_equal(vs[-1, :4], seq[0, :4])
         np.testing.assert_array_equal(vs[0, 4:], seq[0, 4:])
 
@@ -282,7 +295,7 @@ class TestGradients:
         head_b = Parameter("head.b", np.zeros(2))
 
         def loss_fn(tape):
-            last = take(tape, rnn_seq(cell, xs, tape=tape), -1)
+            last = take(tape, rnn_seq(cell, xs, np.arange(6), tape=tape), -1)
             return _head_loss(tape, last, head_w, head_b, 1)
 
         params = cell.parameters() + [head_w, head_b]
@@ -308,7 +321,8 @@ class TestGradients:
         cell = _seeded_lstm(input_dim=2, hidden_dim=3, seed=51)
         lengths = [1, 3, 5]
         rng = Rng(52)
-        x = Parameter("x", np.nan_to_num(_ragged_batch(rng, lengths, 2)))
+        batch, ids = _rows(np.nan_to_num(_ragged_batch(rng, lengths, 2)))
+        x = Parameter("x", batch)
         head_w = Parameter("head.W", glorot(rng, 3, 3))
         head_b = Parameter("head.b", rng.normal(3, 0.1))
         rows = np.repeat(np.arange(3), lengths)
@@ -316,7 +330,7 @@ class TestGradients:
         gold = [k % 3 for k in range(len(rows))]
 
         def loss_fn(tape):
-            states = take(tape, rnn_seq(cell, x, lengths, reverse, tape), (rows, cols))
+            states = take(tape, rnn_seq(cell, x, ids, lengths, reverse, tape), (rows, cols))
             return _head_loss(tape, states, head_w, head_b, gold)
 
         params = cell.parameters() + [head_w, head_b, x]
@@ -327,12 +341,13 @@ class TestGradients:
         cr = _seeded_lstm("r", input_dim=2, hidden_dim=3, seed=72)
         lengths = [2, 4, 1]
         rng = Rng(73)
-        x = Parameter("x", np.nan_to_num(_ragged_batch(rng, lengths, 2)))
+        batch, ids = _rows(np.nan_to_num(_ragged_batch(rng, lengths, 2)))
+        x = Parameter("x", batch)
         head_w = Parameter("head.W", glorot(rng, 2, 6))
         head_b = Parameter("head.b", np.zeros(2))
 
         def loss_fn(tape):
-            return _head_loss(tape, birnn_seq(cf, cr, x, lengths, tape), head_w, head_b, [0, 1, 1])
+            return _head_loss(tape, birnn_seq(cf, cr, x, ids, lengths, tape), head_w, head_b, [0, 1, 1])
 
         params = cf.parameters() + cr.parameters() + [head_w, head_b, x]
         assert gradient_check(loss_fn, params, h=1e-5) < 1e-4
@@ -340,9 +355,9 @@ class TestGradients:
     def test_taped_and_untaped_values_agree(self):
         cell = _seeded_lstm()
         lengths = [4, 2]
-        x = _ragged_batch(Rng(51), lengths, 3)
-        plain = birnn_seq(cell, cell, x, lengths)
-        taped = birnn_seq(cell, cell, x, lengths, Tape())
+        x, ids = _rows(_ragged_batch(Rng(51), lengths, 3))
+        plain = birnn_seq(cell, cell, x, ids, lengths)
+        taped = birnn_seq(cell, cell, x, ids, lengths, Tape())
         np.testing.assert_array_equal(plain.v, taped.v)
 
     def test_one_node_per_direction(self):
@@ -351,4 +366,4 @@ class TestGradients:
         loss = softmax_xent(tape, birnn_ctx(cell, cell, Rng(5).normal(30).reshape(10, 3), tape), [0] * 10)
         loss = add(tape, loss, loss)
         assert tape.kinds.count("lstm_seq") == 2
-        assert len(tape) == 3 + 2 + 3  # leaves, two runs, concat + xent + add
+        assert len(tape) == 3 + 2 * 2 + 3  # leaves, two projections and runs, concat + xent + add

@@ -25,7 +25,7 @@ import math
 import os
 import re
 import struct
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -165,6 +165,16 @@ def _manifest(specs):
             raise ValueError(f"negative dimension in shape {list(shape)}")
         out.append((str(spec["name"]), shape))
     return out
+
+
+def distinct_strings(items, name):
+    """items, if it is a list of distinct non-empty strings; ValueError
+    naming name if not.  A JSON string is not split into characters, and
+    nothing unhashable reaches set()."""
+    strings = isinstance(items, list) and all(map(isinstance, items, repeat(str)))
+    if not strings or "" in items or len(set(items)) != len(items):
+        raise ValueError(f"{name!r} must be a list of distinct non-empty strings")
+    return items
 
 
 def header_field(path, header, name, decode):

@@ -2,11 +2,10 @@
 
 Only FORM (column 2) and UPOS (column 4) are consumed; multiword-token
 range lines (ID like "3-4") and empty nodes (ID like "5.1") are skipped so
-sentences contain syntactic words only.  A two-column "form<TAB>tag" reader
-is provided for WSJ-style data.  All files are UTF-8; a line that is not
-raises DataError naming it.
+sentences contain syntactic words only.  All files are UTF-8; a line that
+is not raises DataError naming it.
 
-The readers intern within one file: every occurrence of a form (or tag)
+The reader interns within one file: every occurrence of a form (or tag)
 is the same string object, so a corpus holds one string per type, not per
 token, and each one's hash is computed once and cached on it.
 """
@@ -109,11 +108,12 @@ def not_utf8(path):
     return DataError(f"{path}: not UTF-8")
 
 
-def _read_columns(path, n_cols, form_col, tag_col, conllu, split, language):
-    """One token per line in n_cols tab-separated columns, a blank line after
-    each sentence.  With conllu, comment lines, multiword-token ranges and
-    empty nodes are skipped.  Equal forms and equal tags are one shared
-    string object."""
+def read_conllu(path, split="train", language=""):
+    """Parse a CoNLL-U file into a Corpus; errors carry line numbers.
+
+    One token per line in 10 tab-separated columns, a blank line after each
+    sentence.  Comment lines, multiword-token ranges and empty nodes are
+    skipped.  Equal forms and equal tags are one shared string object."""
     sentences, forms, tags = [], [], []
     shared = {}.setdefault  # one string object per distinct form or tag of this file
     with open_text(path) as fh:
@@ -126,14 +126,14 @@ def _read_columns(path, n_cols, form_col, tag_col, conllu, split, language):
                         sentences.append(Sentence(forms, tags, f"{path}:{start_line}-{lineno - 1}"))
                         forms, tags = [], []
                     continue
-                if conllu and line[0] == "#":
+                if line[0] == "#":
                     continue
                 cols = line.split("\t")
-                if len(cols) != n_cols:
-                    raise DataError(f"{path}:{lineno}: expected {n_cols} columns, got {len(cols)}")
-                if conllu and ("-" in cols[0] or "." in cols[0]):
+                if len(cols) != 10:
+                    raise DataError(f"{path}:{lineno}: expected 10 columns, got {len(cols)}")
+                if "-" in cols[0] or "." in cols[0]:
                     continue  # multiword range / empty node
-                form, tag = cols[form_col], cols[tag_col]
+                form, tag = cols[1], cols[3]
                 if not form:
                     raise DataError(f"{path}:{lineno}: empty FORM")
                 if not tag:
@@ -145,11 +145,6 @@ def _read_columns(path, n_cols, form_col, tag_col, conllu, split, language):
         except UnicodeDecodeError:
             raise not_utf8(path) from None
     return Corpus(sentences, split, language)
-
-
-def read_conllu(path, split="train", language=""):
-    """Parse a CoNLL-U file into a Corpus; errors carry line numbers."""
-    return _read_columns(path, 10, 1, 3, True, split, language)
 
 
 def _fault(text):
@@ -184,21 +179,6 @@ def write_conllu(corpus, path):
         for sent in corpus:
             for i, (form, tag) in enumerate(zip(sent.forms, sent.tags), 1):
                 fh.write(f"{i}\t{form}\t_\t{tag}\t_\t_\t_\t_\t_\t_\n")
-            fh.write("\n")
-
-
-def read_twocol(path, split="train", language=""):
-    """Plain "form<TAB>tag" per line, blank line between sentences."""
-    return _read_columns(path, 2, 0, 1, False, split, language)
-
-
-def write_twocol(corpus, path):
-    """Plain "form<TAB>tag" lines; ValueError as in write_conllu."""
-    _check_writable(corpus)
-    with open(path, "w", encoding="utf-8") as fh:
-        for sent in corpus:
-            for form, tag in zip(sent.forms, sent.tags):
-                fh.write(f"{form}\t{tag}\n")
             fh.write("\n")
 
 

@@ -139,7 +139,7 @@ def _lstm_backward(dh_out, wh, counts, hdim, cache):
     q[:, 2] = i * (1.0 - g * g)
     q[:, 3] = tc_all * o * (1.0 - o)
     r = o * (1.0 - tc_all * tc_all)
-    da = np.empty((n_all, 4, hdim))
+    da = q  # each step reads q[rows] only to fill da[rows], so dA overwrites q
     starts = np.cumsum(counts) - counts
     dh_rec = dc_rec = None
     for t in range(len(counts) - 1, -1, -1):

@@ -36,6 +36,7 @@ from collections import Counter
 import numpy as np
 
 from .autodiff import Parameter, concat, glorot, lookup_row, take
+from .container import distinct_strings
 from .corpus import DataError, check_tokens, not_utf8, open_text
 from .recurrent import LstmCell, birnn_seq
 
@@ -91,7 +92,18 @@ class Vocab:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["words"], d["chars"], d["counts"])
+        """The Vocab of to_dict's lists; ValueError naming the list that no
+        Vocab writes: words or chars not distinct strings, a char of more
+        than one character, or counts not one non-negative int per word."""
+        words = distinct_strings(d["words"], "words")
+        chars = distinct_strings(d["chars"], "chars")
+        counts = d["counts"]
+        if any(len(ch) != 1 for ch in chars):
+            raise ValueError("'chars' must be single characters")
+        ints = isinstance(counts, list) and all(type(c) is int and c >= 0 for c in counts)
+        if not ints or len(counts) != len(words):
+            raise ValueError("'counts' must be one non-negative int per word")
+        return cls(words, chars, counts)
 
 
 def build_vocab(train_corpus):

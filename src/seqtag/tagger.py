@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .autodiff import Parameter, Rng, Tape, add, affine, gaussian_noise, glorot, sgd_step, softmax_xent
-from .container import ModelError, header_field, load_container, save_container
+from .container import ModelError, distinct_strings, header_field, load_container, save_container
 from .recurrent import LstmCell, birnn_ctx
 from .representations import REPR_MODES, TokenEncoder, Vocab, build_vocab, read_embeddings
 
@@ -260,7 +260,7 @@ def load(path):
     model = TaggerModel(
         header_field(path, header, "hp", lambda d: Hyperparams(**d)),
         header_field(path, header, "vocab", Vocab.from_dict),
-        header_field(path, header, "tagset", list),
+        header_field(path, header, "tagset", lambda t: distinct_strings(t, "tagset")),
         header_field(path, header, "n_bins", int),
     )
     for p in model.parameters():

@@ -62,7 +62,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .container import ModelError, header_field, load_container, save_container
+from .container import ModelError, distinct_strings, header_field, load_container, save_container
 from .corpus import check_tokens
 
 BOUNDARY = "<s>"
@@ -196,14 +196,11 @@ class TrigramModel:
 
     def __init__(self, tagset, tri, forms, emit, max_suffix_len=10, suffix_max_freq=10, beam_default=1000.0):
         _check_config(max_suffix_len, suffix_max_freq, beam_default)
-        self.tagset = list(tagset)
+        self.tagset = distinct_strings(tagset, "tagset")
         k = len(self.tagset)
-        if not k or len(set(self.tagset)) != k or BOUNDARY in self.tagset:
+        if not k or BOUNDARY in self.tagset:
             raise ValueError(f"'tagset' must be distinct tags other than {BOUNDARY!r}, got {self.tagset}")
-        self.forms = list(forms)
-        strings = all(map(isinstance, self.forms, itertools.repeat(str)))
-        if not strings or "" in self.forms or len(set(self.forms)) != len(self.forms):
-            raise ValueError("'forms' must be distinct non-empty strings")
+        self.forms = distinct_strings(forms, "forms")
         self.tri = _counts("tri", tri, (k + 1, k + 1, k))
         self.emit = _counts("emit", emit, (len(self.forms), k))
         self.tag_index = {t: i for i, t in enumerate(self.tagset)}
@@ -423,14 +420,9 @@ def load_hmm(path):
     header, arrays = load_container(path)
     if header.get("kind") != "tnt":
         raise ModelError(f"{path}: container holds a {header.get('kind')!r} model, not tnt")
-
-    def field(name, decode):
-        return header_field(path, header, name, decode)
-
-    tagset = field("tagset", list)
-    config = field("config", lambda c: [c[name] for name in CONFIG])
-    forms = field("forms", list)
+    config = header_field(path, header, "config", lambda c: [c[name] for name in CONFIG])
     try:
+        tagset, forms = header.get("tagset"), header.get("forms")
         return TrigramModel(tagset, arrays.get("tri"), forms, arrays.get("emit"), *config)
     except ValueError as e:
         raise ModelError(f"{path}: {e}") from e

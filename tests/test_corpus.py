@@ -14,11 +14,9 @@ from seqtag.corpus import (
     Sentence,
     corrupt_labels,
     read_conllu,
-    read_twocol,
     stats,
     subsample,
     write_conllu,
-    write_twocol,
 )
 
 WELL_FORMED = """\
@@ -85,10 +83,10 @@ class TestReadConllu:
         assert out.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("reader", [read_conllu, read_twocol])
+@pytest.mark.parametrize("reader", [read_conllu])
 def test_bad_byte_names_the_line(tmp_path, reader):
     # past the reader's first buffer, so the line is not simply where decoding stopped
-    lines = [f"1\tw{i}\t_\tX\t_\t_\t_\t_\t_\t_\n\n" if reader is read_conllu else f"w{i}\tX\n\n" for i in range(2000)]
+    lines = [f"1\tw{i}\t_\tX\t_\t_\t_\t_\t_\t_\n\n" for i in range(2000)]
     p = tmp_path / "bad.txt"
     p.write_bytes("".join(lines).encode("utf-8").replace(b"w1500", b"w\xff500"))
     with pytest.raises(DataError, match=r"bad\.txt:3001: not UTF-8"):
@@ -99,31 +97,17 @@ def test_bad_byte_names_the_line(tmp_path, reader):
     "reader,text,first",
     [
         (read_conllu, WELL_FORMED, 2),
-        (read_twocol, "#\tSYM\nthe\tDET\ndog\tNOUN\n\ncats\tNOUN\nsleep\tVERB", 1),
+        (read_conllu, WELL_FORMED.rstrip("\n"), 2),
     ],
-    ids=["conllu", "twocol"],
+    ids=["conllu", "conllu-no-final-newline"],
 )
 def test_sources_name_first_and_last_line(tmp_path, reader, text, first):
     # neither file ends with a blank line, and the second has no final
-    # newline; in two-column files "#" is a token, not a comment
+    # newline; the comment line starts no sentence
     p = tmp_path / "s.txt"
     p.write_text(text, encoding="utf-8")
     sources = [s.source for s in reader(str(p))]
     assert sources == [f"{p}:{first}-3", f"{p}:5-6"]
-
-
-class TestTwoColumn:
-    def test_round_trip(self, tmp_path):
-        corpus = Corpus([Sentence(["a", "b"], ["X", "Y"]), Sentence(["c"], ["Z"])])
-        p = tmp_path / "t.tsv"
-        write_twocol(corpus, str(p))
-        assert read_twocol(str(p)) == corpus
-
-    def test_bad_column_count(self, tmp_path):
-        p = tmp_path / "t.tsv"
-        p.write_text("a\tX\tExtra\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r":1:"):
-            read_twocol(str(p))
 
 
 class TestSentence:
@@ -143,7 +127,7 @@ class TestSentence:
             Sentence(forms, tags, source)
 
 
-@pytest.mark.parametrize("writer", [write_conllu, write_twocol])
+@pytest.mark.parametrize("writer", [write_conllu])
 @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
 @pytest.mark.parametrize("field", ["form", "tag"])
 def test_writers_reject_tabs_and_line_breaks(tmp_path, writer, bad, field):
@@ -158,18 +142,17 @@ def test_writers_reject_tabs_and_line_breaks(tmp_path, writer, bad, field):
 
 @pytest.mark.parametrize("reader,line", [
     (read_conllu, "2\tcat\t_\t\t_\t_\t_\t_\t_\t_\n"),
-    (read_twocol, "cat\t\n"),
-], ids=["conllu", "twocol"])
+], ids=["conllu"])
 def test_empty_tag_names_the_line(tmp_path, reader, line):
     # an empty tag used to read as "" and give a tagger the tagset [""]
-    first = "1\tdog\t_\tNOUN\t_\t_\t_\t_\t_\t_\n" if reader is read_conllu else "dog\tNOUN\n"
+    first = "1\tdog\t_\tNOUN\t_\t_\t_\t_\t_\t_\n"
     path = tmp_path / "t.txt"
     path.write_text(first + line, encoding="utf-8")
     with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: empty tag$"):
         reader(str(path))
 
 
-@pytest.mark.parametrize("writer", [write_conllu, write_twocol])
+@pytest.mark.parametrize("writer", [write_conllu])
 @pytest.mark.parametrize("field", ["form", "tag"])
 def test_writers_reject_lone_surrogates_before_opening_the_file(tmp_path, writer, field):
     forms, tags = ["ok", "ok"], ["X", "Y"]
@@ -181,7 +164,7 @@ def test_writers_reject_lone_surrogates_before_opening_the_file(tmp_path, writer
     assert not path.exists()  # the first sentence used to be on disk already
 
 
-@pytest.mark.parametrize("writer", [write_conllu, write_twocol])
+@pytest.mark.parametrize("writer", [write_conllu])
 def test_writers_reject_an_empty_tag(tmp_path, writer):
     path = tmp_path / "out.txt"
     with pytest.raises(ValueError, match="^sentence 0: tag 1 is empty$"):
@@ -200,7 +183,7 @@ def _corpora(draw):
     return Corpus([Sentence([f for f, _ in s], [t for _, t in s]) for s in sents])
 
 
-@pytest.mark.parametrize("writer,reader", [(write_conllu, read_conllu), (write_twocol, read_twocol)])
+@pytest.mark.parametrize("writer,reader", [(write_conllu, read_conllu)])
 @settings(max_examples=60, deadline=None)
 @given(corpus=_corpora())
 def test_write_then_read_round_trips(tmp_path_factory, writer, reader, corpus):
@@ -219,7 +202,7 @@ def _repetitive_corpora(draw):
     return Corpus([Sentence([f for f, _ in s], [t for _, t in s]) for s in sents])
 
 
-@pytest.mark.parametrize("writer,reader", [(write_conllu, read_conllu), (write_twocol, read_twocol)])
+@pytest.mark.parametrize("writer,reader", [(write_conllu, read_conllu)])
 @settings(max_examples=30, deadline=None)
 @given(corpus=_repetitive_corpora())
 def test_equal_forms_and_tags_are_one_object(tmp_path_factory, writer, reader, corpus):

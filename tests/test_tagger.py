@@ -371,6 +371,28 @@ class TestBadHeader:
             load(path)
         assert path in str(err.value)
 
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda h: h.update(tagset=[[t] for t in h["tagset"]]), "'tagset'"),
+            (lambda h: h.update(tagset=list(range(len(h["tagset"])))), "'tagset'"),
+            (lambda h: h.update(tagset="NOUN"), "'tagset'"),  # four tags once split into characters
+            (lambda h: h["vocab"].update(words=list(range(len(h["vocab"]["words"])))), "'vocab'.*'words'"),
+            (lambda h: h["vocab"].update(chars=[ch + ch for ch in h["vocab"]["chars"]]), "'vocab'.*'chars'"),
+            (lambda h: h["vocab"]["counts"].__setitem__(1, -1), "'vocab'.*'counts'"),
+        ],
+        ids=["tagset-of-lists", "tagset-of-ints", "tagset-string", "int-words", "multi-char-chars",
+             "negative-count"],
+    )
+    def test_malformed_tagset_or_vocab_names_the_field(self, tmp_path, edit, field):
+        # these used to load, or to fail with a bare TypeError
+        from seqtag.container import ModelError
+
+        path = self._rewrite(tmp_path, edit)
+        with pytest.raises(ModelError, match=field) as err:
+            load(path)
+        assert path in str(err.value)
+
     def test_word_table_of_another_width_names_its_shape(self, tmp_path):
         # what a file whose pretrained table was resized after building looks like
         from seqtag.container import ModelError

@@ -415,11 +415,16 @@ class TestPersistence:
             (_all(_set("emit", 0, 0.0), _set("emit", 1, 1.0)), "'emit'.*'a'"),
             (lambda h, a: h.update(forms=["a", "a"]), "'forms'"),
             (lambda h, a: h.update(tagset=["X", BOUNDARY]), "'tagset'"),
+            (lambda h, a: h.update(tagset=[["X"], ["Y"]]), "'tagset'"),
+            (lambda h, a: h.update(tagset=[0, 1]), "'tagset'"),
+            (lambda h, a: h.update(tagset="XY"), "'tagset'"),  # two tags once split into characters
+            (lambda h, a: h.update(forms="ab"), "'forms'"),
         ],
         ids=[
             "no-tokens", "empty-form", "no-tri", "no-emit", "no-forms", "tri-shape", "emit-shape",
             "negative-count", "fractional-count", "nan-count", "tag-without-tokens", "emit-sums-disagree",
-            "form-without-tokens", "duplicate-forms", "boundary-tag",
+            "form-without-tokens", "duplicate-forms", "boundary-tag", "tagset-of-lists", "tagset-of-ints",
+            "tagset-string", "forms-string",
         ],
     )
     def test_impossible_counts_are_a_model_error(self, tmp_path, edit, field):

@@ -20,6 +20,16 @@ precision.
 Gradients for a table parameter accessed through ``lookup_row`` are kept as
 sparse per-row updates (see :class:`SparseRows`); all other gradients are
 dense arrays of the parameter's shape.
+
+Buffer lifetime.  The reverse sweep frees each non-leaf node's value, aux
+and gradient as soon as its rule has run: every node that reads them comes
+later in construction order, so the sweep has passed it already.  A
+parameter's gradient is complete when the sweep reaches the parameter's
+leaf.  A tape built with a consumer, ``Tape(update)``, hands it over there
+(training applies its SGD update then), so no full set of gradients is ever
+held; the dense buffer then goes back to a pool keyed by shape, which
+parameters of one shape share from sentence to sentence.  A tape without a
+consumer keeps its leaf gradients for ``grad()`` until ``reset()``.
 """
 
 import math
@@ -175,12 +185,6 @@ class SparseRows:
         for i, row in zip(uniq.tolist(), summed):
             self.add(i, row)
 
-    def to_dense(self):
-        out = np.zeros(self.shape)
-        for i, g in self.rows.items():
-            out[i] += g
-        return out
-
 
 # kind -> fn(tape, node_index, incoming_grad); extended by recurrent.py
 BACKWARD = {}
@@ -194,23 +198,31 @@ class Tape:
     activations).  Parent ids are None for constants, which receive no
     gradient.  Topological order is construction order.
 
+    `update(param, grad)`, if given, receives each parameter's finished
+    gradient (a dense array or SparseRows) once per backward, when the
+    sweep reaches the parameter's leaf; it must not keep a dense one, whose
+    buffer the tape reuses.  Without it, leaf gradients stay readable
+    through grad() until reset().
+
     A training loop reuses one tape: `reset()` empties it for the next
-    sentence but keeps the dense gradient buffers of its parameter leaves,
-    which the next backward zeroes and fills instead of allocating fresh
-    pages.
+    sentence.  Dense parameter gradients are drawn from one pool of buffers
+    keyed by shape, which the next backward zeroes and fills instead of
+    allocating fresh pages; non-leaf gradients are allocated per sweep and
+    freed within it.
     """
 
-    def __init__(self):
+    def __init__(self, update=None):
         self.grads = None
-        self._spare = {}  # id(Parameter) -> dense gradient buffer kept by reset()
+        self._update = update
+        self._pool = {}  # shape -> dense gradient buffers free for parameter leaves
         self.reset()
 
     def reset(self):
         """Forget every node; arrays that grad() returned are reused after this."""
         if self.grads is not None:
-            for param_id, node in self._leaves.items():
+            for node in self._leaves.values():
                 if isinstance(self.grads[node], np.ndarray):
-                    self._spare[param_id] = self.grads[node]
+                    self._release(self.grads[node])
         self.kinds = []
         self.parents = []
         self.values = []
@@ -241,10 +253,13 @@ class Tape:
 
     def _buffer(self, node):
         """An uninitialized dense array of the node's shape: for a parameter
-        leaf the buffer reset() kept, if any."""
+        leaf a pooled one, if any."""
         shape = self.values[node].shape
-        g = self._spare.pop(id(self.aux[node]), None) if self.kinds[node] == "leaf" else None
-        return g if g is not None and g.shape == shape else np.empty(shape)
+        free = self._pool.get(shape) if self.kinds[node] == "leaf" else None
+        return free.pop() if free else np.empty(shape)
+
+    def _release(self, g):
+        self._pool.setdefault(g.shape, []).append(g)
 
     def gbuf(self, node):
         """Dense gradient buffer for a node, zero-initialized on first use."""
@@ -281,40 +296,39 @@ class Tape:
     # reverse sweep -------------------------------------------------------
 
     def backward(self, loss):
-        """Populate gradients of `loss` w.r.t. every ancestor node."""
+        """Gradients of `loss` w.r.t. every ancestor node.
+
+        Every non-leaf node is freed on the way; each parameter's gradient
+        goes to the consumer, if the tape has one, when its leaf is reached.
+        """
         if loss.node is None:
             raise ValueError("loss was not recorded on this tape")
         if loss.v.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.v.shape}")
-        self.grads = [None] * len(self.kinds)
-        self.grads[loss.node] = np.ones(loss.v.shape)
-        for i in range(loss.node, -1, -1):
-            g = self.grads[i]
-            if g is None:
-                continue
+        grads = self.grads = [None] * len(self.kinds)
+        grads[loss.node] = np.ones(loss.v.shape)
+        for i in range(len(grads) - 1, -1, -1):
+            g = grads[i]
             kind = self.kinds[i]
-            if kind == "leaf":
-                continue
-            BACKWARD[kind](self, i, g)
+            if kind != "leaf":
+                if g is not None:
+                    BACKWARD[kind](self, i, g)
+                self.values[i] = self.aux[i] = grads[i] = None
+            elif g is not None and self._update is not None:
+                self._update(self.aux[i], g)
+                grads[i] = None
+                if isinstance(g, np.ndarray):
+                    self._release(g)
 
     def grad(self, param):
-        """Gradient accumulated for a parameter, or None if unused."""
+        """Gradient accumulated for a parameter, or None if unused (always
+        None on a tape with a consumer, which has been handed it)."""
         if self.grads is None:
             raise ValueError("backward() has not run on this tape")
         node = self._leaves.get(id(param))
         if node is None:
             return None
         return self.grads[node]
-
-    def gradients(self, params):
-        """name -> gradient map; raises if a parameter has none."""
-        out = {}
-        for p in params:
-            g = self.grad(p)
-            if g is None:
-                raise ValueError(f"no gradient for trainable parameter {p.name!r}")
-            out[p.name] = g
-        return out
 
 
 # primitives ---------------------------------------------------------------
@@ -485,24 +499,18 @@ BACKWARD.update(
 # optimizer ------------------------------------------------------------------
 
 
-def sgd_step(params, grads, lr):
-    """p <- p - lr * grad(p) for every parameter; clears `grads`.
+def sgd_step(param, grad, lr):
+    """param <- param - lr * grad, for a dense gradient or SparseRows.
 
-    `grads` maps parameter name to a dense array or SparseRows, as produced
-    by Tape.gradients().  A dense gradient is scaled by lr in place, so the
-    update allocates no temporary of the parameter's size.
+    A dense gradient is scaled by lr in place, so the update allocates no
+    temporary of the parameter's size.
     """
-    for p in params:
-        if p.name not in grads:
-            raise ValueError(f"no gradient for trainable parameter {p.name!r}")
-        g = grads[p.name]
-        if isinstance(g, SparseRows):
-            for row, vec in g.rows.items():
-                p.v[row] -= lr * vec
-        else:
-            g *= lr
-            p.v -= g
-    grads.clear()
+    if isinstance(grad, SparseRows):
+        for row, vec in grad.rows.items():
+            param.v[row] -= lr * vec
+    else:
+        grad *= lr
+        param.v -= grad
 
 
 def glorot(rng, fan_out, fan_in):

@@ -84,9 +84,6 @@ class Vocab:
     def freq(self, form):
         return self.freq_train.get(form, 0)
 
-    def is_oov(self, form):
-        return self.freq(form) == 0
-
     def to_dict(self):
         return {"words": self.words, "chars": self.chars, "counts": self.counts}
 

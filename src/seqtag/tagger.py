@@ -10,7 +10,10 @@ dozen tape nodes whatever its length.
 
 Training is plain SGD, one update per sentence, sentence order reshuffled
 every epoch with a seeded stream; everything is deterministic for a fixed
-seed.
+seed.  Each parameter's update is applied during the backward sweep, as
+soon as its gradient is complete, so the full set of gradients is never
+held at once; the arithmetic, and so every saved file, is the same as
+updating all parameters after the sweep.
 """
 
 import logging
@@ -90,6 +93,11 @@ def freqbin_label(freq):
     if freq == 0:
         return 0
     return int(math.log(freq))
+
+
+def n_bins_of(vocab):
+    """Frequency classes of a vocabulary: one more than its highest label."""
+    return 1 + max(map(freqbin_label, vocab.freq_train.values()), default=0)
 
 
 # (T, n_tags) and (T, n_bins) logit matrices; freq_logits is None without the aux head
@@ -188,17 +196,20 @@ def _accuracy(model, corpus):
 def train(train_corpus, hp, dev_corpus=None):
     """SGD training: one update per sentence, seeded shuffling, no batches.
 
-    A pretrained embedding file sets the word width, and its rows for
-    training words replace their initial rows.  Aborts with
-    DivergenceError if the loss goes non-finite.  Per-epoch mean
-    loss (and dev accuracy, when a dev corpus is given) is logged and kept
-    in model.train_history.
+    The tape applies each parameter's update as soon as the backward sweep
+    completes its gradient, with the arithmetic and the files of updating
+    all of them after the sweep; a trainable parameter that got no
+    gradient raises ValueError naming it.  A pretrained embedding file
+    sets the word width, and its rows for training words replace their
+    initial rows.  Aborts with DivergenceError if the loss goes
+    non-finite.  Per-epoch mean loss (and dev accuracy, when a dev corpus
+    is given) is logged and kept in model.train_history.
     """
     if not train_corpus.sentences:
         raise ValueError("train: empty corpus")
     vocab = build_vocab(train_corpus)
     tagset = train_corpus.tagset()
-    n_bins = 1 + max(freqbin_label(c) for c in vocab.freq_train.values())
+    n_bins = n_bins_of(vocab)
     pretrained = read_embeddings(hp.pretrained_path) if hp.pretrained_path is not None else {}
     if pretrained:
         hp = replace(hp, word_dim=len(next(iter(pretrained.values()))))
@@ -213,7 +224,13 @@ def train(train_corpus, hp, dev_corpus=None):
     shuffle_rng = rng.child(2)
     params = model.parameters()
     sentences = train_corpus.sentences
-    tape = Tape()  # reset per sentence: its gradient buffers live as long as this call
+    updated = set()
+
+    def update(param, grad):
+        sgd_step(param, grad, hp.lr)
+        updated.add(param)
+
+    tape = Tape(update)  # reset per sentence: its gradient buffers live as long as this call
     for epoch in range(hp.epochs):
         order = list(range(len(sentences)))
         shuffle_rng.shuffle(order)
@@ -224,8 +241,11 @@ def train(train_corpus, hp, dev_corpus=None):
             value = float(loss.v)
             if not math.isfinite(value):
                 raise DivergenceError(epoch, idx)
+            updated.clear()
             tape.backward(loss)
-            sgd_step(params, tape.gradients(params), hp.lr)
+            missing = [p.name for p in params if p not in updated]
+            if missing:
+                raise ValueError(f"no gradient for trainable parameter {missing[0]!r}")
             total += value
         entry = {"epoch": epoch + 1, "mean_loss": total / len(sentences)}
         if dev_corpus is not None:
@@ -252,17 +272,24 @@ def save(model, path):
     save_container(path, header, [(p.name, p.v) for p in model.parameters()])
 
 
+def _n_bins(value, vocab):
+    """value, if it is the int n_bins_of(vocab), as train sets it (a bool
+    is not one); ValueError if not."""
+    want = n_bins_of(vocab)
+    if type(value) is not int or value != want:
+        raise ValueError(f"must be {want}, the bins of the vocabulary's counts, not {value!r}")
+    return value
+
+
 def load(path):
     """Rebuild a saved model; predictions match the saved model exactly."""
     header, arrays = load_container(path)
     if header.get("kind") != "bilstm":
         raise ModelError(f"{path}: container holds a {header.get('kind')!r} model, not bilstm")
-    model = TaggerModel(
-        header_field(path, header, "hp", lambda d: Hyperparams(**d)),
-        header_field(path, header, "vocab", Vocab.from_dict),
-        header_field(path, header, "tagset", lambda t: distinct_strings(t, "tagset")),
-        header_field(path, header, "n_bins", int),
-    )
+    hp = header_field(path, header, "hp", lambda d: Hyperparams(**d))
+    vocab = header_field(path, header, "vocab", Vocab.from_dict)
+    tagset = header_field(path, header, "tagset", lambda t: distinct_strings(t, "tagset"))
+    model = TaggerModel(hp, vocab, tagset, header_field(path, header, "n_bins", lambda n: _n_bins(n, vocab)))
     for p in model.parameters():
         if p.name not in arrays:
             raise ModelError(f"{path}: missing parameter block {p.name!r}")

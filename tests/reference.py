@@ -1,4 +1,6 @@
-"""Test oracles: a finite-difference gradient check; per-step LSTM
+"""Test oracles: a finite-difference gradient check and the dense form of
+a sparse row gradient; the two-phase training loop (whole backward, then
+every update) that the updates inside the sweep replaced; per-step LSTM
 references, independent of the fused nodes, and the gathered (B, T, D) form
 of a run over table rows; the dictionary-based TnT model that the
 count-array model replaced, and a scalar transition probability for the
@@ -15,8 +17,10 @@ from collections import Counter
 
 import numpy as np
 
-from seqtag.autodiff import SparseRows, Tape
+from seqtag.autodiff import Rng, SparseRows, Tape, sgd_step
 from seqtag.container import MAGIC, ModelError, _manifest, header_field
+from seqtag.representations import build_vocab
+from seqtag.tagger import TaggerModel, n_bins_of, sentence_loss
 from seqtag.tnt import BOUNDARY, NEG_INF
 
 
@@ -42,7 +46,7 @@ def gradient_check(loss_fn, params, h=1e-5):
         if g is None:
             g = np.zeros(p.v.shape)
         elif isinstance(g, SparseRows):
-            g = g.to_dense()
+            g = to_dense(g)
         flat = p.v.reshape(-1)
         gflat = np.asarray(g).reshape(-1)
         for i in range(flat.shape[0]):
@@ -59,6 +63,40 @@ def gradient_check(loss_fn, params, h=1e-5):
             if err > worst:
                 worst = err
     return worst
+
+
+def to_dense(rows):
+    """The dense array of a SparseRows gradient."""
+    out = np.zeros(rows.shape)
+    for i, g in rows.rows.items():
+        out[i] += g
+    return out
+
+
+def two_phase_train(train_corpus, hp):
+    """tagger.train with its updates after the sweep: a tape without a
+    consumer, a whole backward, then sgd_step over every parameter.  No
+    pretrained file and no dev corpus."""
+    vocab = build_vocab(train_corpus)
+    rng = Rng(hp.seed)
+    model = TaggerModel(hp, vocab, train_corpus.tagset(), n_bins_of(vocab), init_rng=rng.child(0))
+    train_rng, shuffle_rng = rng.child(1), rng.child(2)
+    params = model.parameters()
+    sentences = train_corpus.sentences
+    tape = Tape()
+    for epoch in range(hp.epochs):
+        order = list(range(len(sentences)))
+        shuffle_rng.shuffle(order)
+        total = 0.0
+        for idx in order:
+            tape.reset()
+            loss = sentence_loss(model, sentences[idx], tape, train_rng, training=True)
+            tape.backward(loss)
+            for p in params:
+                sgd_step(p, tape.grad(p), hp.lr)
+            total += float(loss.v)
+        model.train_history.append({"epoch": epoch + 1, "mean_loss": total / len(sentences)})
+    return model
 
 
 def _sig(x):

@@ -24,7 +24,7 @@ from seqtag.autodiff import (
 )
 from seqtag.recurrent import LstmCell, rnn_seq
 
-from reference import gradient_check
+from reference import gradient_check, to_dense
 
 
 class TestPrimitiveForward:
@@ -105,7 +105,7 @@ class TestBackward:
         g = tape.grad(table)
         assert isinstance(g, SparseRows)
         assert set(g.rows) == {1, 2}
-        dense = g.to_dense()
+        dense = to_dense(g)
         assert dense.shape == (4, 3)
         assert np.all(dense[0] == 0) and np.all(dense[3] == 0)
 
@@ -118,8 +118,8 @@ class TestBackward:
         tape.backward(loss)
         g = tape.grad(table)
         assert set(g.rows) == {0, 2}
-        np.testing.assert_allclose(g.to_dense()[2], [-1.0, 1.0])
-        np.testing.assert_allclose(g.to_dense()[0], [0.5, -0.5])
+        np.testing.assert_allclose(to_dense(g)[2], [-1.0, 1.0])
+        np.testing.assert_allclose(to_dense(g)[0], [0.5, -0.5])
 
     def test_tape_isolation_untaped_matches_taped(self):
         # identical values with and without recording, noise disabled
@@ -189,40 +189,85 @@ class TestTapeReset:
 class TestSgd:
     def test_basic_update(self):
         p = Parameter("p", np.array([1.0]))
-        sgd_step([p], {"p": np.array([0.5])}, 0.1)
+        sgd_step(p, np.array([0.5]), 0.1)
         np.testing.assert_allclose(p.v, [0.95])
 
     def test_zero_gradient_is_identity(self):
         p = Parameter("p", np.array([2.5, -1.0]))
-        sgd_step([p], {"p": np.zeros(2)}, 0.1)
+        sgd_step(p, np.zeros(2), 0.1)
         np.testing.assert_array_equal(p.v, [2.5, -1.0])
 
     def test_sparse_update_touches_only_rows(self):
         p = Parameter("emb", np.ones((3, 2)))
         g = SparseRows((3, 2))
         g.add(1, np.array([1.0, 2.0]))
-        sgd_step([p], {"emb": g}, 0.5)
+        sgd_step(p, g, 0.5)
         np.testing.assert_allclose(p.v[0], [1.0, 1.0])
         np.testing.assert_allclose(p.v[1], [0.5, 0.0])
-
-    def test_missing_gradient_raises(self):
-        p = Parameter("p", np.ones(2))
-        with pytest.raises(ValueError):
-            sgd_step([p], {}, 0.1)
 
     def test_dense_update_equals_p_minus_lr_g(self):
         rng = Rng(9)
         p = Parameter("p", rng.normal((3, 4)))
         g = rng.normal((3, 4))
         want = p.v - 0.3 * g
-        sgd_step([p], {"p": g.copy()}, 0.3)
+        sgd_step(p, g.copy(), 0.3)
         np.testing.assert_array_equal(p.v, want)
 
-    def test_clears_gradients(self):
-        p = Parameter("p", np.ones(1))
-        grads = {"p": np.ones(1)}
-        sgd_step([p], grads, 0.1)
-        assert grads == {}
+
+class TestTapeLifetime:
+    """What a tape holds after backward, with and without a consumer."""
+
+    @staticmethod
+    def _model(rng):
+        emb = Parameter("emb", glorot(rng, 5, 4))
+        cell = LstmCell("c", 4, 3, rng)
+        w, b = Parameter("w", glorot(rng, 2, 3)), Parameter("b", np.zeros(2))
+        return [emb] + cell.parameters() + [w, b], cell
+
+    @staticmethod
+    def _loss(tape, params, cell, ids):
+        emb, _, _, _, w, b = params
+        x = gaussian_noise(tape, lookup_row(tape, emb, ids), 0.1, Rng(2))
+        h = rnn_seq(cell, x, np.arange(len(ids)), tape=tape)
+        return softmax_xent(tape, affine(tape, w, h, b), [k % 2 for k in range(len(ids))])
+
+    def test_no_non_leaf_value_or_gradient_is_left(self):
+        params, cell = self._model(Rng(4))
+        for update in (None, lambda p, g: None):
+            tape = Tape(update)
+            tape.backward(self._loss(tape, params, cell, [3, 1, 3, 0]))
+            inner = [i for i, kind in enumerate(tape.kinds) if kind != "leaf"]
+            assert len(inner) >= 5
+            assert all(tape.values[i] is None and tape.aux[i] is None and tape.grads[i] is None for i in inner)
+            leaves = [i for i, kind in enumerate(tape.kinds) if kind == "leaf"]
+            assert {id(tape.aux[i]) for i in leaves} == set(map(id, params))  # leaves keep their parameter
+            assert all(tape.values[i] is tape.aux[i].v for i in leaves)
+
+    def test_each_parameter_is_passed_once_with_the_plain_tapes_gradient(self):
+        params, cell = self._model(Rng(5))
+        plain = Tape()
+        plain.backward(self._loss(plain, params, cell, [2, 4, 2]))
+        seen = []
+
+        def update(param, grad):
+            want = plain.grad(param)
+            if isinstance(grad, SparseRows):
+                grad, want = to_dense(grad), to_dense(want)
+            np.testing.assert_array_equal(grad, want)
+            seen.append(param.name)
+
+        tape = Tape(update)
+        tape.backward(self._loss(tape, params, cell, [2, 4, 2]))
+        assert sorted(seen) == sorted(p.name for p in params)
+        assert all(tape.grad(p) is None for p in params)
+
+    def test_parameters_of_one_shape_share_a_pooled_buffer(self):
+        # b's gradient is handed over before a's is started, so both get one buffer
+        a, b = Parameter("a", np.eye(3)), Parameter("b", 2.0 * np.eye(3))
+        seen = {}
+        tape = Tape(lambda param, grad: seen.setdefault(param.name, grad))
+        tape.backward(softmax_xent(tape, affine(tape, b, affine(tape, a, np.ones(3), np.zeros(3)), np.zeros(3)), 0))
+        assert seen["a"] is seen["b"]
 
 
 class TestGradientCheck:

@@ -46,10 +46,6 @@ class TestVocab:
             assert vocab.char_id(ch) >= 3
         assert vocab.char_id("ü") == 0  # unseen char -> UNK marker
 
-    def test_oov_definition(self, vocab):
-        assert vocab.is_oov("zebra")
-        assert not vocab.is_oov("cat")
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             build_vocab(Corpus([]))
@@ -195,7 +191,7 @@ class TestLoadPretrained:
         # the reader keeps every row; which ones the vocabulary knows is train's concern
         rows = self._read(tmp_path, "dog 1 2 3 4\ncat 5 6 7 8\nzebra 9 9 9 9\n")
         assert list(rows) == ["dog", "cat", "zebra"]
-        assert [vocab.is_oov(t) for t in rows] == [False, False, True]
+        assert [vocab.freq(t) for t in rows] == [1, 1, 0]
         np.testing.assert_array_equal(rows["dog"], [1, 2, 3, 4])
 
     def test_empty_file(self, tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seqtag.autodiff import Parameter
 from seqtag.corpus import Corpus, Sentence
 from seqtag.representations import build_vocab
 from seqtag.tagger import (
@@ -18,6 +19,8 @@ from seqtag.tagger import (
     sentence_loss,
     train,
 )
+
+from reference import two_phase_train
 
 
 def _toy_corpus():
@@ -215,6 +218,45 @@ class TestTraining:
             with pytest.raises(DivergenceError, match="epoch"):
                 train(corpus, _small_hp(epochs=2, lr=1e308))
 
+    def test_missing_gradient_raises(self, monkeypatch):
+        extra = Parameter("extra.W", np.zeros(2))
+        built = TaggerModel.parameters
+        monkeypatch.setattr(TaggerModel, "parameters", lambda self: built(self) + [extra])
+        with pytest.raises(ValueError, match="no gradient for trainable parameter 'extra.W'"):
+            train(_toy_corpus(), _small_hp(epochs=1))
+
+
+class TestAgainstTwoPhase:
+    """train applies each update inside the backward sweep; the reference
+    runs the whole sweep first, then every update."""
+
+    @pytest.mark.parametrize("freqbin", [False, True], ids=["plain", "freqbin"])
+    @pytest.mark.parametrize("mode", ["w", "c", "b", "c+b", "w+c"])
+    def test_same_parameters_losses_and_files(self, tmp_path, mode, freqbin):
+        hp = _small_hp(epochs=2, repr_mode=mode, freqbin=freqbin)
+        fast, slow = train(_toy_corpus(), hp), two_phase_train(_toy_corpus(), hp)
+        for a, b in zip(fast.parameters(), slow.parameters(), strict=True):
+            np.testing.assert_array_equal(a.v, b.v)
+        assert fast.train_history == slow.train_history
+        save(fast, str(tmp_path / "fast.bin"))
+        save(slow, str(tmp_path / "slow.bin"))
+        assert (tmp_path / "fast.bin").read_bytes() == (tmp_path / "slow.bin").read_bytes()
+
+    def test_holds_less_memory(self):
+        # paper dims: the two-phase loop holds every parameter's gradient at once
+        import tracemalloc
+
+        hp = _small_hp(epochs=1, word_dim=128, subtoken_dim=100, hidden_dim=100)
+        peaks = []
+        for run in (train, two_phase_train):
+            tracemalloc.start()
+            try:
+                run(_toy_corpus(), hp)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.85 * peaks[1], peaks
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -318,11 +360,11 @@ class TestPersistence:
 class TestBadHeader:
     """A container whose checksum holds but whose header is wrong."""
 
-    def _rewrite(self, tmp_path, edit):
+    def _rewrite(self, tmp_path, edit, **hp):
         from seqtag.container import load_container, save_container
 
         path = tmp_path / "model.bin"
-        save(train(_toy_corpus(), _small_hp(epochs=1)), str(path))
+        save(train(_toy_corpus(), _small_hp(epochs=1, **hp)), str(path))
         header, arrays = load_container(str(path))
         edit(header)
         save_container(str(path), header, list(arrays.items()))
@@ -390,6 +432,21 @@ class TestBadHeader:
 
         path = self._rewrite(tmp_path, edit)
         with pytest.raises(ModelError, match=field) as err:
+            load(path)
+        assert path in str(err.value)
+
+    @pytest.mark.parametrize("freqbin", [False, True], ids=["plain", "freqbin"])
+    @pytest.mark.parametrize("value", [1.7, True, "1", "off-by-one"])
+    def test_n_bins_not_the_vocabularys_names_it(self, tmp_path, value, freqbin):
+        # the toy vocabulary's counts give 2 bins
+        from seqtag.container import ModelError
+
+        def edit(h):
+            assert h["n_bins"] == 2
+            h["n_bins"] = 3 if value == "off-by-one" else value
+
+        path = self._rewrite(tmp_path, edit, freqbin=freqbin)
+        with pytest.raises(ModelError, match="'n_bins'") as err:
             load(path)
         assert path in str(err.value)
 

@@ -7,7 +7,11 @@ is not raises DataError naming it.
 
 The reader interns within one file: every occurrence of a form (or tag)
 is the same string object, so a corpus holds one string per type, not per
-token, and each one's hash is computed once and cached on it.
+token, and each one's hash is computed once and cached on it.  A corpus is
+held for a whole run, so a read sentence is slotted (no per-instance
+__dict__) and its forms and tags lists are exact-size copies of the
+reader's two reused buffers, with none of the spare slots that append
+leaves.
 """
 
 import logging
@@ -43,7 +47,7 @@ def check_tokens(tokens):
             raise ValueError(f"token {k} is {form!r}, not a non-empty string")
 
 
-@dataclass
+@dataclass(slots=True)
 class Sentence:
     forms: list
     tags: list
@@ -122,9 +126,10 @@ def read_conllu(path, split="train", language=""):
             for lineno, raw in enumerate(chain(fh, [""]), 1):
                 line = raw.rstrip("\n").rstrip("\r")
                 if not line:
-                    if forms:
-                        sentences.append(Sentence(forms, tags, f"{path}:{start_line}-{lineno - 1}"))
-                        forms, tags = [], []
+                    if forms:  # exact-size copies: a list grown by append has spare slots
+                        sentences.append(Sentence(forms[:], tags[:], f"{path}:{start_line}-{lineno - 1}"))
+                        forms.clear()
+                        tags.clear()
                     continue
                 if line[0] == "#":
                     continue

@@ -208,6 +208,8 @@ def rnn_seq(cell, x, ids, lengths=None, reverse=False, tape=None):
         out = out[0]
     if tape is None:
         return Tensor(out)
+    # nothing reads P's values after the gather, only its shape: a zero-strided stand-in owns no memory
+    tape.values[p.node] = np.broadcast_to(0.0, p.v.shape)
     aux = (cell.W_h.v, inv, rows, pos, counts, h_all, cache)
     return tape.record("lstm_seq", (tape.leaf(cell.W_h).node, p.node), out, aux)
 

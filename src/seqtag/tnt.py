@@ -9,18 +9,26 @@ weights, theta, the log-probability tables and the suffix tries.  A saved
 model holds nothing else, so a loaded one cannot disagree with itself.
 
 Emissions are stored sparse, in the form the decoder reads: for each known
-form, a tuple of (tag id, log P(form | tag)) pairs over the tags it was
-seen with, in ascending tag order, built from the distinct rows of `emit`
-so that forms with equal counts share one tuple.  A suffix trie keeps each
-queried row as the same kind of tuple, and a model with no suffix data
-falls back to every tag with log 1/k.
+form, an emission row (tag ids, logs) of two flat tuples, the tags it was
+seen with in ascending order and their log P(form | tag), built from the
+distinct rows of `emit` so that forms with equal counts share one row.  A
+suffix trie keeps each queried row in the same form, its rows of one tag
+set sharing one tuple of tag ids, and a model with no suffix data falls
+back to every tag with log 1/k.  A row is at most three objects that the
+garbage collector tracks, whatever its number of tags.
 
-Everything is counted on integer codes.  `train_hmm` takes the tagset, the
-forms in first-occurrence order and every token's tag and form id from
-whole-corpus passes that run in C (the readers hand it one string object
-per type, so each hash is computed once), then fills each count array with
-one bincount.  A suffix trie is built from the code points of its words,
-one np.unique per suffix length, and is walked by integer keys.
+Everything is counted on integer codes, streamed from the sentences with no
+whole-corpus list of strings.  `train_hmm` takes the tagset and the forms
+in first-occurrence order from passes that run in C (the readers hand it
+one string object per type, so each hash is computed once), then reads
+every token's tag id into an array of the narrowest integer type that
+holds the boundary id, and its form id into an intp array, which it turns
+into (form, tag) codes in place.  The trigram codes come from one tag
+sequence in which each sentence follows two boundary slots, so every
+token's history is the two ids before it.  Each count array is one
+bincount of intp codes, which it reads without a copy.  A suffix trie is
+built from the code points of its words, one np.unique per suffix length,
+and is walked by integer keys.
 
 Transitions are trigram relative frequencies smoothed by deleted
 interpolation; emissions are maximum-likelihood word-given-tag
@@ -105,8 +113,9 @@ class SuffixTrie:
     counts are integers, so a row's distribution does not depend on the
     order in which words or rows are counted.  A row's emissions are the
     Bayes inversion log(P(t|suffix) / P(t)) of its tags of nonzero
-    probability, as (tag id, log) pairs in ascending tag order, the form
-    `viterbi` reads; they are computed on the row's first query and kept.
+    probability, as (tag ids, logs) in ascending tag order, the form
+    `viterbi` reads; they are computed on the row's first query and kept,
+    and rows of equal tag ids share one tuple of them.
     """
 
     def __init__(self, forms, counts, theta, max_len):
@@ -138,7 +147,8 @@ class SuffixTrie:
         self.dist = node_counts / node_counts.sum(axis=1, keepdims=True)  # ML; the root stays so
         for a, b in itertools.pairwise(depth_ends):  # parents first
             self.dist[a:b] = (self.dist[a:b] + theta * self.dist[parent[a - 1 : b - 1]]) / (1.0 + theta)
-        self._pairs = {}  # row -> (tag id, log) pairs, filled by emission_pairs
+        self._rows = {}  # row -> (tag ids, logs), filled by emission_row
+        self._tag_ids = {}  # one tuple object per distinct tag ids of the rows
 
     def __bool__(self):
         return len(self.dist) > 0
@@ -154,15 +164,17 @@ class SuffixTrie:
             row = child
         return row
 
-    def emission_pairs(self, word):
-        """(tag id, log P(t|suffix) / P(t)) pairs of the longest matching
-        suffix (root fallback), for the tags of nonzero ratio."""
+    def emission_row(self, word):
+        """(tag ids, logs): the tags of nonzero ratio of the longest matching
+        suffix (root fallback) and their log P(t|suffix) / P(t)."""
         row = self.row(word)
-        pairs = self._pairs.get(row)
-        if pairs is None:  # on Python floats: quicker for k values
+        emissions = self._rows.get(row)
+        if emissions is None:  # on Python floats: quicker for k values
             ratios = [d / p if p > 0 else 0.0 for d, p in zip(self.dist[row].tolist(), self.dist[0].tolist())]
-            pairs = self._pairs[row] = tuple((t, math.log(q)) for t, q in enumerate(ratios) if q > 0)
-        return pairs
+            tags = tuple(t for t, q in enumerate(ratios) if q > 0)
+            tags = self._tag_ids.setdefault(tags, tags)
+            emissions = self._rows[row] = tags, tuple(math.log(ratios[t]) for t in tags)
+        return emissions
 
 
 def _counts(name, a, shape):
@@ -239,7 +251,7 @@ class TrigramModel:
         self.log_trans = _log(self.trans)
         self.log_trans_rows = self.log_trans.tolist()  # what viterbi reads, as Python floats
         self.form_emissions = _emissions(self.emit, uni)
-        self.uniform = tuple((t, math.log(1.0 / k)) for t in range(k))  # no suffix data at all: uninformative
+        self.uniform = tuple(range(k)), (math.log(1.0 / k),) * k  # no suffix data at all: uninformative
 
         rare = np.flatnonzero(self.freq <= suffix_max_freq)
         words = np.array(self.forms, dtype=object)[rare]
@@ -255,9 +267,9 @@ class TrigramModel:
     def transition_logp(self, t1, t2, t3):
         return float(self.log_trans[self._ids(t1, t2, t3)])
 
-    def emission_pairs(self, word):
-        """(tag id, log emission) pairs of word's tags of nonzero emission,
-        in tag order: log ML P(word | t) for known words, suffix Bayes
+    def emission_row(self, word):
+        """(tag ids, logs): word's tags of nonzero emission, in tag order, and
+        their log emissions: log ML P(word | t) for known words, suffix Bayes
         inversion otherwise."""
         row = self.form_index.get(word)
         if row is not None:
@@ -266,10 +278,10 @@ class TrigramModel:
             raise ValueError(f"token {word!r} is not a non-empty string")
         tries = (self.trie_upper, self.trie_lower) if word[0].isupper() else (self.trie_lower, self.trie_upper)
         trie = next(filter(None, tries), None)  # the other case's trie if this one is empty
-        return self.uniform if trie is None else trie.emission_pairs(word)
+        return self.uniform if trie is None else trie.emission_row(word)
 
     def emission_logp(self, word, tag):
-        return dict(self.emission_pairs(word)).get(self.tag_index[tag], NEG_INF)
+        return dict(zip(*self.emission_row(word))).get(self.tag_index[tag], NEG_INF)
 
     def training_frequency(self, form):
         row = self.form_index.get(form)
@@ -280,20 +292,22 @@ class TrigramModel:
 
 
 def _emissions(emit, uni):
-    """Each form's (tag id, log P(form | tag)) pairs, in tag order, for the
-    tags of nonzero count: the floats of math.log(emit / uni).
+    """Each form's (tag ids, logs): its tags of nonzero count, in tag order,
+    and the floats of math.log(emit / uni) for them.
 
-    Forms with equal count rows share one tuple, built once: on a Zipfian
-    corpus most forms have one tag and a small count, so a few hundred
-    tuples serve every form.  A row's counts, as bytes, are its key."""
+    Forms with equal count rows share one row, built once: on a Zipfian
+    corpus most forms have one tag and a small count, so a few hundred rows
+    serve every form.  A row's counts, as bytes, are its key."""
     k = emit.shape[1]
     rows = np.ascontiguousarray(emit).view(np.dtype((np.void, 8 * k))).ravel().tolist()
     distinct = dict.fromkeys(rows)
     counts = np.frombuffer(b"".join(distinct), np.int64).reshape(-1, k)
     row_of, tag_of = np.nonzero(counts)
-    pairs = tuple(zip(tag_of.tolist(), map(math.log, (counts[row_of, tag_of] / uni[tag_of]).tolist())))
+    tags = tuple(tag_of.tolist())
+    logs = tuple(map(math.log, (counts[row_of, tag_of] / uni[tag_of]).tolist()))
     ends = np.cumsum(np.count_nonzero(counts, axis=1)).tolist()
-    distinct.update(zip(distinct, map(pairs.__getitem__, map(slice, [0, *ends], ends))))
+    spans = list(map(slice, [0, *ends], ends))
+    distinct.update(zip(distinct, zip(map(tags.__getitem__, spans), map(logs.__getitem__, spans))))
     return list(map(distinct.__getitem__, rows))
 
 
@@ -319,23 +333,42 @@ def train_hmm(corpus, max_suffix_len=10, suffix_max_freq=10, beam_default=1000.0
 
 
 def _count(corpus):
-    """(tagset, tri, forms, emit) of a corpus.  Whole-corpus passes that run
-    in C give the tagset, the forms in first-occurrence order and every
-    token's integer codes; each array is then one bincount over the codes."""
-    tag_lists = list(map(attrgetter("tags"), corpus.sentences))
-    forms = list(itertools.chain.from_iterable(map(attrgetter("forms"), corpus.sentences)))
-    tags = list(itertools.chain.from_iterable(tag_lists))
-    tagset, types = sorted(set(tags)), list(dict.fromkeys(forms))
-    k, n = len(tagset), len(tags)
-    tags = np.fromiter(map(dict(zip(tagset, itertools.count())).__getitem__, tags), np.intp, n)
-    words = np.fromiter(map(dict(zip(types, itertools.count())).__getitem__, forms), np.intp, n)
-    lengths = np.fromiter(map(len, tag_lists), np.intp, len(tag_lists))
-    pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # index within the sentence
-    t2 = np.where(pos >= 1, np.roll(tags, 1), k)
-    t1 = np.where(pos >= 2, np.roll(tags, 2), k)
-    tri = np.bincount((t1 * (k + 1) + t2) * k + tags, minlength=(k + 1) ** 2 * k).reshape(k + 1, k + 1, k)
-    emit = np.bincount(words * k + tags, minlength=len(types) * k).reshape(-1, k)
-    return tagset, tri, types, emit
+    """(tagset, tri, forms, emit) of a corpus.  Passes that run in C stream
+    the tokens of every sentence, with no whole-corpus list: the tagset, the
+    forms in first-occurrence order, then every token's tag and form id,
+    each straight into an array.  Each count array is one bincount."""
+    sentences = corpus.sentences
+
+    def stream(name):
+        return itertools.chain.from_iterable(map(attrgetter(name), sentences))
+
+    tag_id = dict(zip(sorted(set(stream("tags"))), itertools.count()))
+    form_id = dict.fromkeys(stream("forms"))
+    form_id.update(zip(form_id, itertools.count()))  # values only: the dict keeps its size
+    k, n = len(tag_id), corpus.n_tokens()
+    tags = np.fromiter(map(tag_id.__getitem__, stream("tags")), np.min_scalar_type(k), n)  # holds k, the boundary
+    tri = _trigrams(tags, np.fromiter(map(len, sentences), np.intp, len(sentences)), k)
+    codes = np.fromiter(map(form_id.__getitem__, stream("forms")), np.intp, n)
+    codes *= k
+    codes += tags
+    emit = np.bincount(codes, minlength=len(form_id) * k).reshape(-1, k)
+    return list(tag_id), tri, list(form_id), emit
+
+
+def _trigrams(tags, lengths, k):
+    """(k+1, k+1, k) trigram counts of the tag ids of sentences of the given
+    lengths, k being the boundary id.  The sentences are laid out in one
+    sequence, each after two boundary slots, so the two ids before a token
+    are its history; a trigram that ends in a boundary slot is counted in
+    outcome column k, which is dropped."""
+    padded = np.insert(tags, np.repeat(np.cumsum(lengths) - lengths, 2), k)
+    codes = padded[:-2].astype(np.intp)  # bincount counts intp codes without a copy
+    codes *= k + 1
+    codes += padded[1:-1]
+    codes *= k + 1
+    codes += padded[2:]
+    tri = np.bincount(codes, minlength=(k + 1) ** 3).reshape(k + 1, k + 1, k + 1)
+    return np.ascontiguousarray(tri[:, :, :k])
 
 
 def viterbi(model, tokens, beam=1000.0):
@@ -345,10 +378,10 @@ def viterbi(model, tokens, beam=1000.0):
     states that survive: each surviving state at position i-1 is extended
     by every tag whose emission of token i is nonzero, scoring
     (score + log_trans) + emission in that order.  The tags and their log
-    emissions come straight from the model's (tag id, log) pairs, so a
-    position costs the token's lookup, survivors x (its tags) additions,
-    at most survivors x k, and a sort of the survivors when there are two
-    or more.  With beam factor B > 0, states scoring below best - ln(B) are
+    emissions come straight from the model's emission row, two tuples
+    zipped, so a position costs the token's lookup, survivors x (its tags)
+    additions, at most survivors x k, and a sort of the survivors when
+    there are two or more.  With beam factor B > 0, states scoring below best - ln(B) are
     dropped at each position, the first included; beam = 0 keeps every
     state of nonzero probability, which is up to k^2 states a position and
     slower than a dense numpy step for large k.
@@ -374,7 +407,7 @@ def viterbi(model, tokens, beam=1000.0):
     tags = model.tagset
     k = len(tags)
     lt = model.log_trans_rows
-    emission_pairs = model.emission_pairs
+    emission_row = model.emission_row
     cut = math.log(beam) if beam > 0 else None
 
     # (t_{i-1}, t_i) -> score; before position 0 both tags are the boundary k,
@@ -382,11 +415,11 @@ def viterbi(model, tokens, beam=1000.0):
     states = {(k, k): 0.0}
     backs = []  # per position: (t_{i-1}, t_i) -> t_{i-2}
     for word in tokens:
-        emis = emission_pairs(word)
+        emis_tags, emis_logs = emission_row(word)
         scores, back = {}, {}
         for (a, b), s in sorted(states.items()) if len(states) > 1 else states.items():
             row = lt[a][b]
-            for c, x in emis:
+            for c, x in zip(emis_tags, emis_logs):
                 score = (s + row[c]) + x
                 key = b, c
                 if score > scores.get(key, NEG_INF):

@@ -241,6 +241,30 @@ class ReferenceSuffixTrie:
         return self.prior
 
 
+def count_reference(corpus):
+    """(tagset, tri, forms, emit) of a corpus, the arrays tnt._count returns,
+    counted sentence by sentence in dicts: tri[t1, t2, t3] over tag ids with
+    k = len(tagset) for the boundary, emit[form id, tag id], the forms in
+    first-occurrence order."""
+    tagset = sorted({t for sent in corpus for t in sent.tags})
+    tag_id = {t: i for i, t in enumerate(tagset)}
+    k = len(tagset)
+    tri, emit, form_id = {}, {}, {}
+    for sent in corpus:
+        t1, t2 = k, k
+        for form, tag in zip(sent.forms, sent.tags):
+            t3, f = tag_id[tag], form_id.setdefault(form, len(form_id))
+            tri[t1, t2, t3] = tri.get((t1, t2, t3), 0) + 1
+            emit[f, t3] = emit.get((f, t3), 0) + 1
+            t1, t2 = t2, t3
+    tri_array = np.zeros((k + 1, k + 1, k), np.int64)
+    emit_array = np.zeros((len(form_id), k), np.int64)
+    for array, counts in ((tri_array, tri), (emit_array, emit)):
+        for key, c in counts.items():
+            array[key] = c
+    return tagset, tri_array, list(form_id), emit_array
+
+
 class ReferenceTnt:
     """Counts, interpolation weights, tries and scalar log-probabilities of
     a TnT model, computed with Counters and Python floats."""

@@ -2,6 +2,8 @@
 
 import math
 import re
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,12 @@ class TestSentence:
         with pytest.raises(DataError, match=f"^{where}: {message}$"):
             Sentence(forms, tags, source)
 
+    def test_slotted(self):
+        sent = Sentence(["a"], ["X"], "built.conllu:1-1")
+        assert not hasattr(sent, "__dict__")
+        with pytest.raises(AttributeError):
+            sent.lemma = "a"
+
 
 @pytest.mark.parametrize("writer", [write_conllu])
 @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
@@ -190,6 +198,18 @@ def test_write_then_read_round_trips(tmp_path_factory, writer, reader, corpus):
     path = str(tmp_path_factory.mktemp("rt") / "c.txt")
     writer(corpus, path)
     assert reader(path) == corpus
+
+
+@settings(max_examples=30, deadline=None)
+@given(corpus=_corpora())
+def test_read_lists_are_exact_size(tmp_path_factory, corpus):
+    # a list grown by append keeps spare slots, and list() rounds its
+    # allocation up; the corpus is held for a whole run
+    path = str(tmp_path_factory.mktemp("exact") / "c.conllu")
+    write_conllu(corpus, path)
+    for sent in read_conllu(path):
+        for items in (sent.forms, sent.tags):
+            assert sys.getsizeof(items) == sys.getsizeof([]) + len(items) * struct.calcsize("P")
 
 
 @st.composite

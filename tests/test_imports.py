@@ -1,6 +1,11 @@
-"""Every module under src/seqtag/ uses every name it imports."""
+"""Every module under src/seqtag/ uses every name it imports, and the
+package loads nothing beyond the standard library but numpy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +35,22 @@ def test_finds_an_unused_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# run in a fresh interpreter: what the taggers' import loads, by top-level name
+_LOADED = """
+import json, sys
+before = set(sys.modules)
+import seqtag.tagger, seqtag.tnt
+print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_taggers_load_only_numpy_beyond_the_standard_library():
+    # the start-up time of every run is mostly imports; one stray package adds to it
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _LOADED], env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert "seqtag" in loaded and "numpy" in loaded
+    assert [name for name in loaded if name not in sys.stdlib_module_names | {"numpy", "seqtag"}] == []

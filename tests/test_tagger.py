@@ -174,6 +174,21 @@ class TestFullModelGradient:
             sizes.append(len(tape))
         assert sizes[0] == sizes[1] < 40
 
+    def test_projections_own_no_memory_after_the_forward(self):
+        # each recurrence reads its projection P's rows in the forward; its
+        # backward needs only P's row count, so the tape keeps a stand-in
+        from seqtag.autodiff import Rng, Tape
+
+        model = train(_toy_corpus(), _small_hp(epochs=1))
+        tape = Tape()
+        sentence_loss(model, Sentence(["the", "big", "dog", "barks"], ["DET", "ADJ", "NOUN", "VERB"]), tape,
+                      Rng(1), training=True)
+        projections = [tape.parents[i][1] for i, kind in enumerate(tape.kinds) if kind == "lstm_seq"]
+        assert len(projections) == 4  # char and context bi-LSTMs
+        for p in projections:
+            assert tape.kinds[p] == "affine" and tape.values[p].ndim == 2
+            assert not any(tape.values[p].strides) and not tape.values[p].flags.owndata
+
 
 class TestTraining:
     def test_overfits_toy_corpus(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,22 @@ from seqtag.autodiff import Rng
 from seqtag.container import ModelError, load_container, save_container
 from seqtag.corpus import Corpus, Sentence
 from seqtag.synthetic import make_suffix_corpus
-from seqtag.tnt import BOUNDARY, CONFIG, SuffixTrie, load_hmm, save_hmm, train_hmm, viterbi
+from seqtag.tnt import BOUNDARY, CONFIG, SuffixTrie, _count, load_hmm, save_hmm, train_hmm, viterbi
 
-from reference import ReferenceTnt, brute_force_viterbi, reference_viterbi, transition
+from reference import ReferenceTnt, brute_force_viterbi, count_reference, reference_viterbi, transition
 
 
-def _row(pairs, k):
-    """The (k,) list of log emissions of (tag id, log) pairs, -inf elsewhere."""
-    logs = dict(pairs)
+def _row(emissions, k):
+    """The (k,) list of log emissions of an emission row (tag ids, logs),
+    -inf elsewhere."""
+    logs = dict(zip(*emissions))
     return [logs.get(t, -math.inf) for t in range(k)]
+
+
+def _sparse(row):
+    """The emission row (tag ids, logs) of a (k,) list of log emissions."""
+    tags = tuple(t for t, x in enumerate(row) if x > -math.inf)
+    return tags, tuple(row[t] for t in tags)
 
 
 def _random_corpus(rng, n_sents=30, tags=("A", "B", "C", "D"), n_words=12):
@@ -237,7 +245,7 @@ class TestEmission:
         no_tries.trie_upper = no_tries.trie_lower = SuffixTrie([], np.zeros((0, 3), dtype=np.int64), 0.0, 10)
         for m, ws in ((model, words), (no_tries, ["novel", "Novel", "a"])):
             for w in ws:
-                assert _row(m.emission_pairs(w), len(m.tagset)) == [m.emission_logp(w, t) for t in m.tagset], w
+                assert _row(m.emission_row(w), len(m.tagset)) == [m.emission_logp(w, t) for t in m.tagset], w
 
     def test_emission_pairs_are_the_nonzero_entries_of_the_dense_row(self):
         # known forms of one or several tags, OOV words of both cases, and a
@@ -250,13 +258,29 @@ class TestEmission:
         for model, ws in ((train_hmm(corpus), words + [w.capitalize() for w in words]), (no_tries, ["novel", "w1"])):
             uni = model.emit.sum(axis=0).tolist()
             for i, counts in enumerate(model.emit.tolist()):
-                want = tuple((t, math.log(c / uni[t])) for t, c in enumerate(counts) if c)
-                assert model.form_emissions[i] == want == model.emission_pairs(model.forms[i])
+                want = _sparse([math.log(c / uni[t]) if c else -math.inf for t, c in enumerate(counts)])
+                assert model.form_emissions[i] == want == model.emission_row(model.forms[i])
             for w in ws:
-                row = [model.emission_logp(w, t) for t in model.tagset]
-                assert model.emission_pairs(w) == tuple((t, x) for t, x in enumerate(row) if x > -math.inf), w
-        assert any(len(p) > 1 for p in no_tries.form_emissions)
-        assert no_tries.emission_pairs("novel") == tuple((t, math.log(1 / 4)) for t in range(4))
+                assert model.emission_row(w) == _sparse([model.emission_logp(w, t) for t in model.tagset]), w
+        assert any(len(tags) > 1 for tags, _ in no_tries.form_emissions)
+        assert no_tries.emission_row("novel") == (tuple(range(4)), (math.log(1 / 4),) * 4)
+
+    def test_emission_rows_are_two_flat_tuples(self):
+        # ints and floats only, so a row is three tuples for the garbage
+        # collector, and trie rows of the same tags share one tag tuple
+        train_c, test_c = make_suffix_corpus(120, 30, seed=4)
+        model = train_hmm(train_c)
+        for s in test_c:
+            model.predict(s.forms)
+        tries = (model.trie_lower, model.trie_upper)
+        rows = [*model.form_emissions, model.uniform, *(r for t in tries for r in t._rows.values())]
+        assert sum(len(t._rows) for t in tries) > 1
+        for tags, logs in rows:
+            assert type(tags) is type(logs) is tuple and len(tags) == len(logs) > 0
+            assert all(type(t) is int for t in tags) and all(type(x) is float for x in logs)
+        for trie in tries:
+            shared = {tuple(tags): tags for tags, _ in trie._rows.values()}
+            assert all(tags is shared[tags] for tags, _ in trie._rows.values())
 
     def test_suffix_node_distributions_sum_to_one(self):
         train_c, _ = make_suffix_corpus(120, 10, seed=4)
@@ -314,7 +338,7 @@ class TestSuffixTrie:
                     math.log(dist.get(t, 0.0) / prior[t]) if prior.get(t, 0.0) and dist.get(t, 0.0) else -math.inf
                     for t in model.tagset
                 ]
-                assert _row(trie.emission_pairs(word), len(model.tagset)) == logp, word
+                assert _row(trie.emission_row(word), len(model.tagset)) == logp, word
 
 
 class TestDataBenefit:
@@ -558,6 +582,51 @@ class TestAgainstReference:
             exact = _check_exact_path(model, tokens)
             assert viterbi(clone, tokens, beam=0) == exact
             assert clone.predict(tokens) == model.predict(tokens)
+
+
+@st.composite
+def _count_cases(draw):
+    """Corpora of 1-8 sentences of 1-6 tokens: non-ASCII forms, 1-5 tags, so
+    that one corpus often has 1-token sentences and a tag seen once."""
+    tags = st.sampled_from(["NOUN", "VERB", "ADJ", "X", "Ü"])
+    sents = draw(st.lists(st.lists(st.tuples(_FORMS, tags), min_size=1, max_size=6), min_size=1, max_size=8))
+    return Corpus([Sentence([f for f, _ in s], [t for _, t in s]) for s in sents])
+
+
+def _many_tags(k):
+    """One sentence of k tokens, each of its own tag: k + 1 ids no longer
+    fit in a byte from k = 256 on."""
+    return Corpus([Sentence([f"w{i % 3}" for i in range(k)], [f"T{i:03d}" for i in range(k)])])
+
+
+class TestCount:
+    """The streamed counts against per-sentence dict loops."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpus=_count_cases())
+    @example(corpus=Corpus([Sentence(["é"], ["X"])]))
+    @example(corpus=Corpus([Sentence(["零", "a", "零"], ["A", "B", "A"]), Sentence(["b"], ["C"])]))
+    @example(corpus=_many_tags(255))
+    @example(corpus=_many_tags(256))
+    def test_same_counts_as_the_dict_loops(self, corpus):
+        tagset, tri, forms, emit = _count(corpus)
+        want_tagset, want_tri, want_forms, want_emit = count_reference(corpus)
+        assert (tagset, forms) == (want_tagset, want_forms)
+        for got, want in ((tri, want_tri), (emit, want_emit)):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want, strict=True)
+
+    def test_peak_memory_per_token(self):
+        # whole-corpus lists of strings and int64 index arrays took 65 bytes a token
+        train_c, _ = make_suffix_corpus(3000, 10, seed=3, types_per_tag=4000, min_len=3, max_len=29)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _count(train_c)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / train_c.n_tokens() <= 45
 
 
 @st.composite

@@ -1,15 +1,14 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The engine is deliberately small: a flat operation tape and exactly the
-node kinds the taggers record.  Besides parameter leaves there are eight:
+node kinds the taggers record.  Besides parameter leaves there are seven:
 
-  add       elementwise sum (the joint tag + frequency loss)
+  add       elementwise sum (the joint loss, and x plus a constant noise draw)
   affine    x W^T + b (the heads and the LSTM input projections)
   concat    join along the last axis (word o char o byte, forward o reverse)
   take      copy of x[index] (final states of the subword bi-LSTMs)
   lookup    embedding-table rows, with a sparse row gradient
   xent      summed softmax cross-entropy, one gold class per row
-  noise     additive Gaussian noise, identity gradient
   lstm_seq  an LSTM recurrence over rows of a projected input (recurrent.py)
 
 The ops that carry a sentence take a matrix with one row per token, so a
@@ -27,9 +26,9 @@ later in construction order, so the sweep has passed it already.  A
 parameter's gradient is complete when the sweep reaches the parameter's
 leaf.  A tape built with a consumer, ``Tape(update)``, hands it over there
 (training applies its SGD update then), so no full set of gradients is ever
-held; the dense buffer then goes back to a pool keyed by shape, which
-parameters of one shape share from sentence to sentence.  A tape without a
-consumer keeps its leaf gradients for ``grad()`` until ``reset()``.
+held; a tape without one drops it.  Either way the dense buffer then goes
+back to a pool keyed by shape, which parameters of one shape share from
+sentence to sentence.
 """
 
 import math
@@ -201,8 +200,7 @@ class Tape:
     `update(param, grad)`, if given, receives each parameter's finished
     gradient (a dense array or SparseRows) once per backward, when the
     sweep reaches the parameter's leaf; it must not keep a dense one, whose
-    buffer the tape reuses.  Without it, leaf gradients stay readable
-    through grad() until reset().
+    buffer the tape reuses.  A tape without it keeps no gradient.
 
     A training loop reuses one tape: `reset()` empties it for the next
     sentence.  Dense parameter gradients are drawn from one pool of buffers
@@ -212,17 +210,12 @@ class Tape:
     """
 
     def __init__(self, update=None):
-        self.grads = None
         self._update = update
         self._pool = {}  # shape -> dense gradient buffers free for parameter leaves
         self.reset()
 
     def reset(self):
-        """Forget every node; arrays that grad() returned are reused after this."""
-        if self.grads is not None:
-            for node in self._leaves.values():
-                if isinstance(self.grads[node], np.ndarray):
-                    self._release(self.grads[node])
+        """Forget every node."""
         self.kinds = []
         self.parents = []
         self.values = []
@@ -298,8 +291,9 @@ class Tape:
     def backward(self, loss):
         """Gradients of `loss` w.r.t. every ancestor node.
 
-        Every non-leaf node is freed on the way; each parameter's gradient
-        goes to the consumer, if the tape has one, when its leaf is reached.
+        Every non-leaf node is freed on the way.  When the sweep reaches a
+        parameter's leaf, its gradient goes to the consumer, if the tape
+        has one, and a dense buffer then returns to the pool.
         """
         if loss.node is None:
             raise ValueError("loss was not recorded on this tape")
@@ -313,22 +307,13 @@ class Tape:
             if kind != "leaf":
                 if g is not None:
                     BACKWARD[kind](self, i, g)
-                self.values[i] = self.aux[i] = grads[i] = None
-            elif g is not None and self._update is not None:
-                self._update(self.aux[i], g)
-                grads[i] = None
+                self.values[i] = self.aux[i] = None
+            elif g is not None:
+                if self._update is not None:
+                    self._update(self.aux[i], g)
                 if isinstance(g, np.ndarray):
                     self._release(g)
-
-    def grad(self, param):
-        """Gradient accumulated for a parameter, or None if unused (always
-        None on a tape with a consumer, which has been handed it)."""
-        if self.grads is None:
-            raise ValueError("backward() has not run on this tape")
-        node = self._leaves.get(id(param))
-        if node is None:
-            return None
-        return self.grads[node]
+            grads[i] = None
 
 
 # primitives ---------------------------------------------------------------
@@ -465,7 +450,8 @@ def _bw_xent(tape, i, g):
 
 
 def gaussian_noise(tape, x, sigma, rng):
-    """x + eps with eps ~ N(0, sigma^2) elementwise; identity gradient.
+    """x + eps with eps ~ N(0, sigma^2) elementwise: an add whose second
+    parent is the constant eps, so the gradient passes to x unchanged.
 
     A matrix draws eps row by row, so each row gets the noise it would get
     noised on its own.  (One normal(x.size) draw would not do: Box-Muller
@@ -473,14 +459,7 @@ def gaussian_noise(tape, x, sigma, rng):
     """
     x = wrap(tape, x)
     width = x.v.shape[-1]
-    out = x.v + rng.normal((x.v.size // width, width), sigma).reshape(x.v.shape)
-    if tape is None:
-        return Tensor(out)
-    return tape.record("noise", (x.node,), out)
-
-
-def _bw_noise(tape, i, g):
-    tape.acc(tape.parents[i][0], g)
+    return add(tape, x, rng.normal((x.v.size // width, width), sigma).reshape(x.v.shape))
 
 
 BACKWARD.update(
@@ -491,7 +470,6 @@ BACKWARD.update(
         "take": _bw_take,
         "lookup": _bw_lookup,
         "xent": _bw_xent,
-        "noise": _bw_noise,
     }
 )
 

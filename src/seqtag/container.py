@@ -157,13 +157,14 @@ def _read(path, fh, sha, buf):
 
 
 def _manifest(specs):
-    """[(name, shape)] of the header's array list."""
+    """[(name, shape)] of the header's array list: distinct non-empty string
+    names, each with a list of non-negative ints (not bools) for a shape."""
     out = []
-    for spec in specs:
-        shape = tuple(int(n) for n in spec["shape"])
-        if min(shape, default=0) < 0:
-            raise ValueError(f"negative dimension in shape {list(shape)}")
-        out.append((str(spec["name"]), shape))
+    for name, spec in zip(distinct_strings([spec["name"] for spec in specs], "array names"), specs):
+        shape = spec["shape"]
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"shape {shape!r} of {name!r} is not a list of non-negative ints")
+        out.append((name, tuple(shape)))
     return out
 
 

@@ -2,11 +2,12 @@
 
 The representation layer encodes a sentence into a (T, D) token matrix,
 which is perturbed with Gaussian noise during training and fed through a
-context bi-LSTM; an affine head over each position's encoding scores the
-tags, and (optionally) a second head scores the token's log-frequency bin.
-The joint loss is the sum of both cross-entropies over all tokens.  Every
-layer works on the whole sentence's matrix, so a sentence records a few
-dozen tape nodes whatever its length.
+context bi-LSTM into one (T, 2H) encoding per position.  The loss applies
+the heads to it: an affine head scores the tags, and (optionally) a second
+head scores the token's log-frequency bin; the joint loss is the sum of
+both cross-entropies over all tokens.  `predict` applies the tag head
+only.  Every layer works on the whole sentence's matrix, so a sentence
+records a few dozen tape nodes whatever its length.
 
 Training is plain SGD, one update per sentence, sentence order reshuffled
 every epoch with a seeded stream; everything is deterministic for a fixed
@@ -18,7 +19,6 @@ updating all parameters after the sweep.
 
 import logging
 import math
-from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -82,7 +82,12 @@ class Hyperparams:
             raise ValueError(f"hyperparameter sigma must be a finite nonnegative number, got {self.sigma!r}")
         if self.repr_mode not in REPR_MODES:
             raise ValueError(f"unknown representation mode {self.repr_mode!r}")
-        if self.pretrained_path is not None and "w" not in self.repr_mode:
+        if not isinstance(self.freqbin, bool):
+            raise ValueError(f"hyperparameter freqbin must be a bool, got {self.freqbin!r}")
+        path = self.pretrained_path
+        if not (path is None or isinstance(path, str) and path):
+            raise ValueError(f"hyperparameter pretrained_path must be None or a non-empty str, got {path!r}")
+        if path is not None and "w" not in self.repr_mode:
             raise ValueError(f"pretrained embeddings need a mode with w, not {self.repr_mode!r}")
 
 
@@ -98,10 +103,6 @@ def freqbin_label(freq):
 def n_bins_of(vocab):
     """Frequency classes of a vocabulary: one more than its highest label."""
     return 1 + max(map(freqbin_label, vocab.freq_train.values()), default=0)
-
-
-# (T, n_tags) and (T, n_bins) logit matrices; freq_logits is None without the aux head
-TokenScores = namedtuple("TokenScores", ["tag_logits", "freq_logits"])
 
 
 class TaggerModel:
@@ -141,31 +142,26 @@ class TaggerModel:
 
     def predict(self, tokens):
         """Most likely tag per token; ties resolve to the lowest tag index."""
-        scores = forward_sentence(self, tokens)
-        return [self.tagset[i] for i in np.argmax(scores.tag_logits.v, axis=1).tolist()]
+        logits = affine(None, self.tag_W, forward_sentence(self, tokens), self.tag_b)
+        return [self.tagset[i] for i in np.argmax(logits.v, axis=1).tolist()]
 
 
-def forward_sentence(model, tokens, training=False, rng=None, tape=None, unk_mask=None):
-    """Tag logits (and freq logits when the aux head exists), one row per token."""
-    if not tokens:
-        raise ValueError("forward_sentence: empty sentence")
+def forward_sentence(model, tokens, tape=None, rng=None, unk_mask=None):
+    """(T, 2H) context encodings, one row per token; an rng (training) noises the input."""
     x = model.encoder.encode(tokens, tape, replace_unk=unk_mask)
-    if training and model.hp.sigma > 0.0:
+    if rng is not None and model.hp.sigma > 0.0:
         x = gaussian_noise(tape, x, model.hp.sigma, rng)
-    v = birnn_ctx(model.ctx_f, model.ctx_r, x, tape)
-    tag_logits = affine(tape, model.tag_W, v, model.tag_b)
-    freq_logits = affine(tape, model.freq_W, v, model.freq_b) if model.freq_W is not None else None
-    return TokenScores(tag_logits, freq_logits)
+    return birnn_ctx(model.ctx_f, model.ctx_r, x, tape)
 
 
-def sentence_loss(model, sentence, tape=None, rng=None, training=False):
+def sentence_loss(model, sentence, tape=None, rng=None):
     """Summed cross-entropy over tokens: tag loss plus (if enabled) freq loss.
 
-    During training, singleton words may be routed through the UNK row;
-    such tokens also take frequency label 0.
+    With an rng (training), the input is noised and singleton words may be
+    routed through the UNK row; such tokens also take frequency label 0.
     """
     unk_mask = None
-    if training and model.encoder.word_table is not None:
+    if rng is not None and model.encoder.word_table is not None:
         unk_mask = [
             model.vocab.freq(form) == 1 and rng.uniform() < UNK_REPLACE_PROB
             for form in sentence.forms
@@ -173,14 +169,14 @@ def sentence_loss(model, sentence, tape=None, rng=None, training=False):
     gold = [model.tag_index.get(tag) for tag in sentence.tags]
     if None in gold:
         raise ValueError(f"gold tag {sentence.tags[gold.index(None)]!r} not in model tagset")
-    scores = forward_sentence(model, sentence.forms, training, rng, tape, unk_mask)
-    total = softmax_xent(tape, scores.tag_logits, gold)
-    if scores.freq_logits is not None:
+    v = forward_sentence(model, sentence.forms, tape, rng, unk_mask)
+    total = softmax_xent(tape, affine(tape, model.tag_W, v, model.tag_b), gold)
+    if model.freq_W is not None:
         fbins = [
             0 if unk_mask and unk_mask[i] else freqbin_label(model.vocab.freq(form))
             for i, form in enumerate(sentence.forms)
         ]
-        total = add(tape, total, softmax_xent(tape, scores.freq_logits, fbins))
+        total = add(tape, total, softmax_xent(tape, affine(tape, model.freq_W, v, model.freq_b), fbins))
     return total
 
 
@@ -237,7 +233,7 @@ def train(train_corpus, hp, dev_corpus=None):
         total = 0.0
         for idx in order:
             tape.reset()
-            loss = sentence_loss(model, sentences[idx], tape, train_rng, training=True)
+            loss = sentence_loss(model, sentences[idx], tape, train_rng)
             value = float(loss.v)
             if not math.isfinite(value):
                 raise DivergenceError(epoch, idx)

@@ -1,12 +1,13 @@
-"""Test oracles: a finite-difference gradient check and the dense form of
-a sparse row gradient; the two-phase training loop (whole backward, then
-every update) that the updates inside the sweep replaced; per-step LSTM
-references, independent of the fused nodes, and the gathered (B, T, D) form
-of a run over table rows; the dictionary-based TnT model that the
-count-array model replaced, and a scalar transition probability for the
-count-array model; the two Viterbi decoders that the survivor-only one is
-checked against; and the whole-buffer container writer and reader that the
-streaming ones replaced."""
+"""Test oracles: a finite-difference gradient check, a tape consumer that
+keeps every gradient, and the dense form of a sparse row gradient; the
+two-phase training loop (whole backward, then every update) that the
+updates inside the sweep replaced; per-step LSTM references, independent
+of the fused nodes, and the gathered (B, T, D) form of a run over table
+rows; the dictionary-based TnT model that the count-array model replaced,
+and a scalar transition probability for the count-array model; the two
+Viterbi decoders that the survivor-only one is checked against; and the
+whole-buffer container writer and reader that the streaming ones
+replaced."""
 
 import hashlib
 import itertools
@@ -34,7 +35,8 @@ def gradient_check(loss_fn, params, h=1e-5):
     |analytic| + |numeric|); the max over all components of all `params`
     is returned.
     """
-    tape = Tape()
+    grads = {}
+    tape = Tape(collect(grads))
     loss = loss_fn(tape)
     if not np.all(np.isfinite(loss.v)):
         raise FloatingPointError("non-finite loss in gradient_check")
@@ -42,7 +44,7 @@ def gradient_check(loss_fn, params, h=1e-5):
 
     worst = 0.0
     for p in params:
-        g = tape.grad(p)
+        g = grads.get(p)
         if g is None:
             g = np.zeros(p.v.shape)
         elif isinstance(g, SparseRows):
@@ -65,6 +67,17 @@ def gradient_check(loss_fn, params, h=1e-5):
     return worst
 
 
+def collect(grads):
+    """A tape consumer that keeps each parameter's gradient in the dict
+    grads, keyed by parameter: a dense one as a copy, since the tape reuses
+    the buffer it hands over."""
+
+    def keep(param, grad):
+        grads[param] = grad.copy() if isinstance(grad, np.ndarray) else grad
+
+    return keep
+
+
 def to_dense(rows):
     """The dense array of a SparseRows gradient."""
     out = np.zeros(rows.shape)
@@ -74,8 +87,8 @@ def to_dense(rows):
 
 
 def two_phase_train(train_corpus, hp):
-    """tagger.train with its updates after the sweep: a tape without a
-    consumer, a whole backward, then sgd_step over every parameter.  No
+    """tagger.train with its updates after the sweep: a whole backward that
+    collects every gradient, then sgd_step over every parameter.  No
     pretrained file and no dev corpus."""
     vocab = build_vocab(train_corpus)
     rng = Rng(hp.seed)
@@ -83,17 +96,18 @@ def two_phase_train(train_corpus, hp):
     train_rng, shuffle_rng = rng.child(1), rng.child(2)
     params = model.parameters()
     sentences = train_corpus.sentences
-    tape = Tape()
+    grads = {}
+    tape = Tape(collect(grads))
     for epoch in range(hp.epochs):
         order = list(range(len(sentences)))
         shuffle_rng.shuffle(order)
         total = 0.0
         for idx in order:
             tape.reset()
-            loss = sentence_loss(model, sentences[idx], tape, train_rng, training=True)
+            loss = sentence_loss(model, sentences[idx], tape, train_rng)
             tape.backward(loss)
             for p in params:
-                sgd_step(p, tape.grad(p), hp.lr)
+                sgd_step(p, grads.pop(p), hp.lr)
             total += float(loss.v)
         model.train_history.append({"epoch": epoch + 1, "mean_loss": total / len(sentences)})
     return model

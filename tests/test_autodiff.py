@@ -24,7 +24,7 @@ from seqtag.autodiff import (
 )
 from seqtag.recurrent import LstmCell, rnn_seq
 
-from reference import gradient_check, to_dense
+from reference import collect, gradient_check, to_dense
 
 
 class TestPrimitiveForward:
@@ -66,20 +66,22 @@ class TestBackward:
     def test_square_gradient(self):
         # loss = x*x with x=[[3]], as W x with W and x the same leaf:
         # both paths reach x, so dloss/dx = 3 + 3 = 6
-        tape = Tape()
+        grads = {}
+        tape = Tape(collect(grads))
         x = Parameter("x", np.array([[3.0]]))
         xt = tape.leaf(x)
         loss = affine(tape, xt, take(tape, xt, 0), np.zeros(1))
         assert float(loss.v[0]) == 9.0
         tape.backward(loss)
-        np.testing.assert_allclose(tape.grad(x), [[6.0]])
+        np.testing.assert_allclose(grads[x], [[6.0]])
 
     def test_xent_gradient_is_softmax_minus_onehot(self):
-        tape = Tape()
+        grads = {}
+        tape = Tape(collect(grads))
         z = Parameter("z", np.zeros(2))
         loss = softmax_xent(tape, tape.leaf(z), 0)
         tape.backward(loss)
-        np.testing.assert_allclose(tape.grad(z), [-0.5, 0.5])
+        np.testing.assert_allclose(grads[z], [-0.5, 0.5])
 
     def test_backward_requires_scalar(self):
         tape = Tape()
@@ -94,7 +96,8 @@ class TestBackward:
             tape.backward(Tensor(np.asarray(1.0)))
 
     def test_lookup_gradient_is_sparse_rows(self):
-        tape = Tape()
+        grads = {}
+        tape = Tape(collect(grads))
         table = Parameter("emb", np.zeros((4, 3)))
         r1 = lookup_row(tape, table, 1)
         r1b = lookup_row(tape, table, 1)
@@ -102,7 +105,7 @@ class TestBackward:
         v = concat(tape, [r1, r1b, r2])
         loss = softmax_xent(tape, v, 0)
         tape.backward(loss)
-        g = tape.grad(table)
+        g = grads[table]
         assert isinstance(g, SparseRows)
         assert set(g.rows) == {1, 2}
         dense = to_dense(g)
@@ -110,13 +113,14 @@ class TestBackward:
         assert np.all(dense[0] == 0) and np.all(dense[3] == 0)
 
     def test_lookup_of_an_id_list_accumulates_repeats(self):
-        tape = Tape()
+        grads = {}
+        tape = Tape(collect(grads))
         table = Parameter("emb", np.zeros((4, 2)))
         rows = lookup_row(tape, table, [2, 0, 2])
         assert rows.v.shape == (3, 2)
         loss = softmax_xent(tape, rows, [0, 1, 0])
         tape.backward(loss)
-        g = tape.grad(table)
+        g = grads[table]
         assert set(g.rows) == {0, 2}
         np.testing.assert_allclose(to_dense(g)[2], [-1.0, 1.0])
         np.testing.assert_allclose(to_dense(g)[0], [0.5, -0.5])
@@ -144,46 +148,47 @@ class TestTapeReset:
     def _loss(tape, w, b, x, gold):
         return softmax_xent(tape, affine(tape, w, x, b), gold)
 
+    @staticmethod
+    def _handed(kept):
+        """A consumer that appends, per parameter, the buffer it is handed
+        and a copy of what the buffer holds then."""
+        return lambda param, grad: kept.setdefault(param, []).append((grad, grad.copy()))
+
+    def _fresh(self, *args):
+        grads = {}
+        tape = Tape(collect(grads))
+        tape.backward(self._loss(tape, *args))
+        return grads
+
     def test_reused_tape_gives_a_fresh_tapes_gradients_in_its_old_buffers(self):
         rng = Rng(8)
         w, b = Parameter("w", glorot(rng, 3, 4)), Parameter("b", rng.normal(3, 0.1))
         xs = [rng.normal((2, 4)), rng.normal((5, 4))]
-        tape = Tape()
+        kept = {}
+        tape = Tape(self._handed(kept))
         tape.backward(self._loss(tape, w, b, xs[0], [0, 2]))
-        first = tape.grad(w)
         tape.reset()
         assert len(tape) == 0 and tape.grads is None
         tape.backward(self._loss(tape, w, b, xs[1], [1, 1, 0, 2, 2]))
-        fresh = Tape()
-        fresh.backward(self._loss(fresh, w, b, xs[1], [1, 1, 0, 2, 2]))
-        assert tape.grad(w) is first  # no new buffer, and nothing left of the first sentence
-        np.testing.assert_array_equal(tape.grad(w), fresh.grad(w))
-        np.testing.assert_array_equal(tape.grad(b), fresh.grad(b))
+        fresh = self._fresh(w, b, xs[1], [1, 1, 0, 2, 2])
+        (first, _), (second, got) = kept[w]
+        assert second is first  # no new buffer, and nothing left of the first sentence
+        np.testing.assert_array_equal(got, fresh[w])
+        np.testing.assert_array_equal(kept[b][1][1], fresh[b])
 
     def test_interleaved_tapes_keep_their_own_gradients(self):
         rng = Rng(10)
         w, b = Parameter("w", glorot(rng, 3, 2)), Parameter("b", np.zeros(3))
-        tapes = [Tape(), Tape()]
+        kept = [{}, {}]
+        tapes = [Tape(self._handed(k)) for k in kept]
         for step in range(3):
             xs = [rng.normal((1 + k, 2)) for k in range(2)]
             for tape, x in zip(tapes, xs):
                 tape.reset()
                 tape.backward(self._loss(tape, w, b, x, [step] * len(x)))
-            for tape, x in zip(tapes, xs):
-                fresh = Tape()
-                fresh.backward(self._loss(fresh, w, b, x, [step] * len(x)))
-                np.testing.assert_array_equal(tape.grad(w), fresh.grad(w))
-        assert tapes[0].grad(w) is not tapes[1].grad(w)
-
-    def test_gradients_outlive_backward_until_reset(self):
-        w, b, x = Parameter("w", np.ones((2, 3))), Parameter("b", np.zeros(2)), np.ones((1, 3))
-        tape = Tape()
-        tape.backward(self._loss(tape, w, b, x, [0]))
-        first = tape.grad(w)
-        kept = first.copy()
-        tape.backward(self._loss(tape, w, b, x, [1]))  # a second sweep without reset
-        np.testing.assert_array_equal(first, kept)
-        assert tape.grad(w) is not first
+            for k, x in zip(kept, xs):
+                np.testing.assert_array_equal(k[w][-1][1], self._fresh(w, b, x, [step] * len(x))[w])
+        assert kept[0][w][-1][0] is not kept[1][w][-1][0]
 
 
 class TestSgd:
@@ -245,12 +250,13 @@ class TestTapeLifetime:
 
     def test_each_parameter_is_passed_once_with_the_plain_tapes_gradient(self):
         params, cell = self._model(Rng(5))
-        plain = Tape()
-        plain.backward(self._loss(plain, params, cell, [2, 4, 2]))
+        plain = {}
+        first = Tape(collect(plain))
+        first.backward(self._loss(first, params, cell, [2, 4, 2]))
         seen = []
 
         def update(param, grad):
-            want = plain.grad(param)
+            want = plain[param]
             if isinstance(grad, SparseRows):
                 grad, want = to_dense(grad), to_dense(want)
             np.testing.assert_array_equal(grad, want)
@@ -259,7 +265,13 @@ class TestTapeLifetime:
         tape = Tape(update)
         tape.backward(self._loss(tape, params, cell, [2, 4, 2]))
         assert sorted(seen) == sorted(p.name for p in params)
-        assert all(tape.grad(p) is None for p in params)
+        assert all(g is None for g in tape.grads)
+
+    def test_a_tape_without_a_consumer_keeps_no_gradient(self):
+        params, cell = self._model(Rng(6))
+        tape = Tape()
+        tape.backward(self._loss(tape, params, cell, [1, 0, 3]))
+        assert "leaf" in tape.kinds and all(g is None for g in tape.grads)
 
     def test_parameters_of_one_shape_share_a_pooled_buffer(self):
         # b's gradient is handed over before a's is started, so both get one buffer
@@ -339,8 +351,6 @@ def _one_rule_losses():
         "take": (lambda tape: softmax_xent(tape, take(tape, a, [1, 0, 1]), [0, 2, 1]), [a]),
         "lookup": (lambda tape: softmax_xent(tape, lookup_row(tape, emb, [4, 1, 4]), [0, 1, 2]), [emb]),
         "xent": (lambda tape: softmax_xent(tape, a, gold), [a]),
-        # a fresh stream per call draws the same noise every time
-        "noise": (lambda tape: softmax_xent(tape, gaussian_noise(tape, a, 0.3, Rng(7)), gold), [a]),
         "lstm_seq": (lstm_loss, lstm.parameters() + [batch]),
     }
 
@@ -356,6 +366,20 @@ def test_every_backward_rule_has_a_gradient_check(kind):
     loss_fn(tape)
     assert kind in tape.kinds
     assert gradient_check(loss_fn, params, h=1e-5) < 1e-6
+
+
+def test_gaussian_noise_is_an_add_of_a_constant():
+    a = Parameter("a", Rng(43).normal((2, 3)))
+
+    def loss_fn(tape):  # a fresh stream per call draws the same noise every time
+        return softmax_xent(tape, gaussian_noise(tape, a, 0.3, Rng(7)), [2, 0])
+
+    tape = Tape()
+    loss_fn(tape)
+    (node,) = [i for i, kind in enumerate(tape.kinds) if kind == "add"]
+    x, noise = tape.parents[node]
+    assert tape.kinds[x] == "leaf" and noise is None
+    assert gradient_check(loss_fn, [a], h=1e-5) < 1e-6
 
 
 class TestRng:

@@ -43,8 +43,19 @@ def _write(path, header, blocks=b"", hlen=None):
         ({"kind": "tnt", "arrays": 5}, "'arrays'"),
         ({"kind": "bilstm", "arrays": [{"name": "w"}]}, "'arrays'.*shape"),
         ({"kind": "tnt", "arrays": [{"name": "w", "shape": [-1]}]}, "'arrays'.*negative"),
+        # these used to load: int() coerced each dimension, str() each name,
+        # and a second block silently replaced the first of its name
+        ({"kind": "tnt", "arrays": [{"name": "w", "shape": ["2"]}]}, "'arrays'.*shape"),
+        ({"kind": "tnt", "arrays": [{"name": "w", "shape": [2.9]}]}, "'arrays'.*shape"),
+        ({"kind": "tnt", "arrays": [{"name": "w", "shape": [2.0]}]}, "'arrays'.*shape"),
+        ({"kind": "tnt", "arrays": [{"name": "w", "shape": [True, 2]}]}, "'arrays'.*shape"),
+        ({"kind": "tnt", "arrays": [{"name": "w", "shape": 2}]}, "'arrays'.*shape"),
+        ({"kind": "tnt", "arrays": [{"name": 7, "shape": [0]}]}, "'arrays'.*names"),
+        ({"kind": "tnt", "arrays": [{"name": "", "shape": [0]}]}, "'arrays'.*names"),
+        ({"kind": "tnt", "arrays": [{"name": "a", "shape": [0]}, {"name": "a", "shape": [0]}]}, "'arrays'.*names"),
     ],
-    ids=["not-an-object", "arrays-not-a-list", "no-shape", "negative-shape"],
+    ids=["not-an-object", "arrays-not-a-list", "no-shape", "negative-shape", "string-dim", "float-dim",
+         "integral-float-dim", "bool-dim", "shape-not-a-list", "int-name", "empty-name", "repeated-name"],
 )
 def test_bad_header_is_a_model_error(tmp_path, loader, header, field):
     path = _write(tmp_path / "m.bin", header)
@@ -65,8 +76,9 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
     max_leaves=8,
 )
+_NAME = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)  # array names
 _BLOCKS = st.lists(
-    st.tuples(_TEXT, arrays(np.float64, st.lists(st.integers(0, 3), max_size=3).map(tuple))),
+    st.tuples(_NAME, arrays(np.float64, st.lists(st.integers(0, 3), max_size=3).map(tuple))),
     max_size=3,
     unique_by=lambda block: block[0],
 )
@@ -198,7 +210,7 @@ _ARRAY = st.one_of(
     arrays(np.float64, _SHAPES).map(lambda a: a.T),  # not C-contiguous when 2-d or more
     arrays(np.int64, _SHAPES, elements=st.integers(0, 2**53)),  # TnT's counts
 )
-_ANY_BLOCKS = st.lists(st.tuples(_TEXT, _ARRAY), max_size=4, unique_by=lambda block: block[0])
+_ANY_BLOCKS = st.lists(st.tuples(_NAME, _ARRAY), max_size=4, unique_by=lambda block: block[0])
 _HEADERS = st.dictionaries(_TEXT.filter(lambda key: key != "arrays"), _JSON, max_size=4)
 
 

@@ -58,6 +58,15 @@ class TestHyperparams:
         with pytest.raises(ValueError, match=f"hyperparameter {field} must"):
             _small_hp(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("freqbin", "no"), ("freqbin", 1), ("freqbin", None),
+        ("pretrained_path", 5), ("pretrained_path", ""), ("pretrained_path", b"emb.txt"),
+    ])
+    def test_flag_and_path_must_have_their_types(self, field, value):
+        # freqbin="no" used to train with the head; pretrained_path=5 opened descriptor 5
+        with pytest.raises(ValueError, match=f"hyperparameter {field} must"):
+            _small_hp(repr_mode="w", **{field: value})
+
     def test_edge_values_accepted(self):
         hp = _small_hp(seed=-3, sigma=0, lr=1, epochs=1)
         assert (hp.seed, hp.sigma, hp.lr) == (-3, 0, 1)
@@ -125,6 +134,16 @@ class TestSentenceLoss:
         with pytest.raises(ValueError, match="tagset"):
             sentence_loss(model, Sentence(["dog"], ["NOPE"]))
 
+    def test_noise_and_unk_replacement_come_with_an_rng_only(self):
+        from seqtag.autodiff import Rng
+
+        corpus = _toy_corpus()
+        model = TaggerModel(_small_hp(sigma=0.5), build_vocab(corpus), corpus.tagset(), 2, init_rng=Rng(3))
+        sent = corpus.sentences[5]
+        plain = [float(sentence_loss(model, sent).v) for _ in range(2)]
+        assert plain[0] == plain[1]
+        assert float(sentence_loss(model, sent, rng=Rng(4)).v) != plain[0]
+
 
 class TestFullModelGradient:
     def test_gradient_check_three_token_sentence(self):
@@ -170,7 +189,7 @@ class TestFullModelGradient:
         sizes = []
         for forms in (["dog"], ["the", "big", "dog", "barks"] * 4):
             tape = Tape()
-            sentence_loss(model, Sentence(forms, ["NOUN"] * len(forms)), tape, Rng(1), training=True)
+            sentence_loss(model, Sentence(forms, ["NOUN"] * len(forms)), tape, Rng(1))
             sizes.append(len(tape))
         assert sizes[0] == sizes[1] < 40
 
@@ -181,8 +200,7 @@ class TestFullModelGradient:
 
         model = train(_toy_corpus(), _small_hp(epochs=1))
         tape = Tape()
-        sentence_loss(model, Sentence(["the", "big", "dog", "barks"], ["DET", "ADJ", "NOUN", "VERB"]), tape,
-                      Rng(1), training=True)
+        sentence_loss(model, Sentence(["the", "big", "dog", "barks"], ["DET", "ADJ", "NOUN", "VERB"]), tape, Rng(1))
         projections = [tape.parents[i][1] for i, kind in enumerate(tape.kinds) if kind == "lstm_seq"]
         assert len(projections) == 4  # char and context bi-LSTMs
         for p in projections:
@@ -304,9 +322,19 @@ class TestPredict:
 
         plain = forward_sentence(model, ["the", "dog"])
         taped = forward_sentence(model, ["the", "dog"], tape=Tape())
-        assert plain.tag_logits.v.shape == (2, len(model.tagset))
-        np.testing.assert_array_equal(plain.tag_logits.v, taped.tag_logits.v)
-        np.testing.assert_array_equal(plain.freq_logits.v, taped.freq_logits.v)
+        assert plain.v.shape == (2, 2 * model.hp.hidden_dim)
+        np.testing.assert_array_equal(plain.v, taped.v)
+
+    def test_scores_the_tag_head_only(self, model, monkeypatch):
+        # the frequency head is a training signal: tagging never applies it
+        from seqtag import tagger
+
+        assert model.freq_W is not None
+        heads = []
+        affine = tagger.affine
+        monkeypatch.setattr(tagger, "affine", lambda tape, w, x, b: heads.append(w) or affine(tape, w, x, b))
+        model.predict(["the", "dog", "barks"])
+        assert heads == [model.tag_W]
 
 
 class TestPersistence:
@@ -419,7 +447,8 @@ class TestBadHeader:
         assert load(path).predict(["the", "dog"])
 
     @pytest.mark.parametrize("field,value", [("hidden_dim", 4.0), ("sigma", math.nan), ("lr", math.inf),
-                                             ("epochs", True)])
+                                             ("epochs", True), ("freqbin", "no"), ("freqbin", 0),
+                                             ("pretrained_path", 5), ("pretrained_path", "")])
     def test_bad_hyperparameter_names_hp(self, tmp_path, field, value):
         from seqtag.container import ModelError
 

@@ -46,8 +46,11 @@ class DivergenceError(RuntimeError):
 
 
 def _finite(value):
-    """A finite int or float (a bool is neither here)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite int or float (a bool is neither here, nor an int too large for a float)."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # math.isfinite converts an int to a float
+        return False
 
 
 @dataclass

@@ -27,8 +27,10 @@ into (form, tag) codes in place.  The trigram codes come from one tag
 sequence in which each sentence follows two boundary slots, so every
 token's history is the two ids before it.  Each count array is one
 bincount of intp codes, which it reads without a copy.  A suffix trie is
-built from the code points of its words, one np.unique per suffix length,
-and is walked by integer keys.
+built from the code points of its words, depth by depth: one np.unique per
+suffix length numbers that depth's rows, and one bincount per tag counts
+them, so no per-word array outlives its depth.  It is walked by integer
+keys.
 
 Transitions are trigram relative frequencies smoothed by deleted
 interpolation; emissions are maximum-likelihood word-given-tag
@@ -42,13 +44,15 @@ as in TnT (Brants 2000, arXiv:cs/0003055): only the pairs that survive the
 beam at one position are extended to the next, by the tags the next token
 can emit, on Python floats.  A position costs one dict lookup for a known
 word (a trie walk of at most max_suffix_len steps for an unknown one) and
-survivors x (the token's tags) additions; on a language whose words nearly
-fix their tags one or two pairs survive and most tokens have one tag,
-where a dense step would score all k^3 transitions.  beam = 0 keeps every
-pair of nonzero probability, up to k^2 of them, and is then slower than
-dense numpy for large k.  Ties go to the lowest tag indices, and a
-sentence with no path of nonzero probability (through the beam) gets the
-first tag everywhere; `viterbi` says how.
+survivors x (the token's tags) additions.  A lone survivor is held as
+scalars, so a token of one tag after it costs one addition and builds no
+dict; on a language whose words nearly fix their tags one or two pairs
+survive and most tokens have one tag, where a dense step would score all
+k^3 transitions.  beam = 0 keeps every pair of nonzero probability, up to
+k^2 of them, and is then slower than dense numpy for large k.  Ties go to
+the lowest tag indices, and a sentence with no path of nonzero
+probability (through the beam) gets the first tag everywhere; `viterbi`
+says how.
 
 Reconstructed Brants-style constants, all overridable: suffix length <= 10,
 suffixes trained on words with frequency <= 10, abstraction weight theta =
@@ -98,14 +102,20 @@ class SuffixTrie:
     points of every word (UTF-32, lone surrogates kept by surrogatepass),
     and the nodes at depth n are the distinct (parent row, n-th code point
     from the end) pairs of the words at least n characters long, found by
-    np.unique.  Row i of `dist` is one suffix.  Rows are numbered shortest
-    suffix first, so the root '' is row 0 and every row comes after its
-    parent (the suffix minus its first character); a depth's rows are in
-    (parent row, code point) order.  `children` maps code point * stride +
-    parent row to the child's row, stride being the least power of two
-    above every row, so a key's low bits are its parent row and the dict's
-    slots spread over the rows; a query walks it down from the root to the
-    longest suffix of the word in the trie.
+    np.unique.  Each depth counts its own rows as it goes, one bincount per
+    tag of the inverse np.unique returns, weighted by the counts of the
+    words still long enough; the root counts every word.  Only a depth's
+    keys and its (rows, k) block of counts outlive it, and the counts are
+    normalised into `dist` in place.  Row i of `dist` is one suffix.  Rows
+    are numbered shortest suffix first, so the root '' is row 0 and every
+    row comes after its parent (the suffix minus its first character); a
+    depth's rows are in (parent row, code point) order.  `children` maps
+    code point * stride + parent row to the child's row, stride being the
+    least power of two above every row, so a key's low bits are its parent
+    row and the dict's slots spread over the rows; a query walks it down
+    from the root to the longest suffix of the word in the trie.  The dict
+    is built last, from one array of keys, since its growth sets the
+    build's memory peak.
 
     Row distributions are blended with their parent: P(t|s_1..i) =
     (ML(t|s_1..i) + theta * P(t|s_2..i)) / (1 + theta), rooted at the ML
@@ -113,40 +123,32 @@ class SuffixTrie:
     counts are integers, so a row's distribution does not depend on the
     order in which words or rows are counted.  A row's emissions are the
     Bayes inversion log(P(t|suffix) / P(t)) of its tags of nonzero
-    probability, as (tag ids, logs) in ascending tag order, the form
-    `viterbi` reads; they are computed on the row's first query and kept,
-    and rows of equal tag ids share one tuple of them.
+    probability, P(t) being the root row (kept as a list of floats), as
+    (tag ids, logs) in ascending tag order, the form `viterbi` reads; they
+    are computed on the row's first query and kept, and rows of equal tag
+    ids share one tuple of them.
     """
 
     def __init__(self, forms, counts, theta, max_len):
         """forms: the trie's training words; counts: their (n, k) tag counts."""
-        lens = np.fromiter(map(len, forms), np.intp, len(forms))
-        ends = np.cumsum(lens)  # word i's code points end at ends[i]
-        codes = np.frombuffer("".join(forms).encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.int64)
-        words = np.arange(len(forms))
-        node = np.zeros(len(forms), np.int64)  # each word's row at the depth reached
-        keys, word_of, node_of, depth_ends = [], [words], [node.copy()], [min(len(forms), 1)]
-        for n in range(1, max_len + 1):
-            words = words[lens[words] >= n]
-            if not len(words):
-                break
-            new, inverse = np.unique(node[words] * _CODE_POINTS + codes[ends[words] - n], return_inverse=True)
-            node[words] = depth_ends[-1] + inverse
-            keys.append(new)
-            word_of.append(words)
-            node_of.append(node[words])
-            depth_ends.append(depth_ends[-1] + len(new))
-        keys = np.concatenate([np.zeros(0, np.int64), *keys])  # keys[i] is row i + 1's (parent, code point)
+        root = [counts.sum(axis=0, keepdims=True).astype(float)] if len(forms) else []
+        depths = list(_suffix_depths(forms, counts, max_len, len(root)))  # (keys, counts) per depth
+        depth_ends = list(itertools.accumulate((len(depth_keys) for depth_keys, _ in depths), initial=len(root)))
+        dist = np.concatenate([np.zeros((0, counts.shape[1])), *root, *(block for _, block in depths)])
+        dist /= dist.sum(axis=1, keepdims=True)  # ML; the root stays so
+        keys = np.concatenate([np.zeros(0, np.int64), *(depth_keys for depth_keys, _ in depths)])  # row i + 1's
+        del depths
         parent, code = np.divmod(keys, _CODE_POINTS)
-        self.stride = 1 << max(depth_ends[-1] - 1, 0).bit_length()
-        self.children = dict(zip((code * self.stride + parent).tolist(), range(1, len(keys) + 1)))
-        word_of, node_of = np.concatenate(word_of), np.concatenate(node_of)
-        node_counts = np.stack(
-            [np.bincount(node_of, weights=c[word_of], minlength=depth_ends[-1]) for c in counts.T], axis=1
-        )
-        self.dist = node_counts / node_counts.sum(axis=1, keepdims=True)  # ML; the root stays so
+        del keys
         for a, b in itertools.pairwise(depth_ends):  # parents first
-            self.dist[a:b] = (self.dist[a:b] + theta * self.dist[parent[a - 1 : b - 1]]) / (1.0 + theta)
+            dist[a:b] = (dist[a:b] + theta * dist[parent[a - 1 : b - 1]]) / (1.0 + theta)
+        self.dist = dist
+        self._prior = dist[0].tolist() if len(dist) else []  # the root's P(t), as emission_row reads it
+        self.stride = 1 << max(depth_ends[-1] - 1, 0).bit_length()
+        code *= self.stride
+        code += parent
+        del parent  # only dist and the keys are left while the dict grows
+        self.children = dict(zip(code.tolist(), range(1, len(code) + 1)))
         self._rows = {}  # row -> (tag ids, logs), filled by emission_row
         self._tag_ids = {}  # one tuple object per distinct tag ids of the rows
 
@@ -170,11 +172,36 @@ class SuffixTrie:
         row = self.row(word)
         emissions = self._rows.get(row)
         if emissions is None:  # on Python floats: quicker for k values
-            ratios = [d / p if p > 0 else 0.0 for d, p in zip(self.dist[row].tolist(), self.dist[0].tolist())]
+            ratios = [d / p if p > 0 else 0.0 for d, p in zip(self.dist[row].tolist(), self._prior)]
             tags = tuple(t for t, q in enumerate(ratios) if q > 0)
             tags = self._tag_ids.setdefault(tags, tags)
             emissions = self._rows[row] = tags, tuple(math.log(ratios[t]) for t in tags)
         return emissions
+
+
+def _suffix_depths(forms, counts, max_len, first_row):
+    """For each depth n = 1, 2, ... of the trie over forms read backwards, up
+    to max_len or the longest form: the keys of its rows, parent row *
+    _CODE_POINTS + code point in ascending order, and their (rows, k) tag
+    counts, the sums of the counts of the forms at least n characters long
+    that end in each row's suffix.  Rows are numbered on from first_row."""
+    lens = np.fromiter(map(len, forms), np.intp, len(forms))
+    ends = np.cumsum(lens)  # form i's code points end at ends[i]
+    codes = np.frombuffer("".join(forms).encode("utf-32-le", "surrogatepass"), np.uint32)  # keys upcast them
+    words = np.arange(len(forms))  # the forms at least n characters long
+    node = np.zeros(len(forms), np.int64)  # their rows at depth n - 1
+    for n in range(1, max_len + 1):
+        live = lens[words] >= n
+        words, node = words[live], node[live]
+        if not len(words):
+            return
+        keys, inverse = np.unique(node * _CODE_POINTS + codes[ends[words] - n], return_inverse=True)
+        block = np.empty((len(keys), counts.shape[1]))
+        for t, column in enumerate(counts.T):
+            block[:, t] = np.bincount(inverse, weights=column[words], minlength=len(keys))
+        yield keys, block
+        node = first_row + inverse
+        first_row += len(keys)
 
 
 def _counts(name, a, shape):
@@ -378,13 +405,19 @@ def viterbi(model, tokens, beam=1000.0):
     states that survive: each surviving state at position i-1 is extended
     by every tag whose emission of token i is nonzero, scoring
     (score + log_trans) + emission in that order.  The tags and their log
-    emissions come straight from the model's emission row, two tuples
-    zipped, so a position costs the token's lookup, survivors x (its tags)
-    additions, at most survivors x k, and a sort of the survivors when
-    there are two or more.  With beam factor B > 0, states scoring below best - ln(B) are
-    dropped at each position, the first included; beam = 0 keeps every
-    state of nonzero probability, which is up to k^2 states a position and
-    slower than a dense numpy step for large k.
+    emissions come straight from the model's emission row (a known word's
+    row is looked up here, in `form_index` and `form_emissions`).  A lone
+    survivor is held as three scalars, (previous, current, score): a token
+    of one tag then costs one addition and one append, and its back pointer
+    is the int t_{i-2}, which every state extended from the lone survivor
+    shares.  Only when two or more states survive does a position build
+    dicts of scores and back pointers ((t_{i-1}, t_i) -> t_{i-2}), at the
+    cost of a sort of the survivors and survivors x (the token's tags)
+    additions, at most survivors x k.  With beam factor B > 0, states
+    scoring below best - ln(B) are dropped at each position, the first
+    included; beam = 0 keeps every state of nonzero probability, which is
+    up to k^2 states a position and slower than a dense numpy step for
+    large k.
 
     Ties resolve to the lowest tag indices: survivors are extended in
     ascending (previous, current) order, a state keeps its first best
@@ -407,37 +440,56 @@ def viterbi(model, tokens, beam=1000.0):
     tags = model.tagset
     k = len(tags)
     lt = model.log_trans_rows
-    emission_row = model.emission_row
+    form_index, form_emissions, emission_row = model.form_index.get, model.form_emissions, model.emission_row
     cut = math.log(beam) if beam > 0 else None
 
-    # (t_{i-1}, t_i) -> score; before position 0 both tags are the boundary k,
-    # and 0.0 + log_trans is log_trans exactly
-    states = {(k, k): 0.0}
-    backs = []  # per position: (t_{i-1}, t_i) -> t_{i-2}
+    # The lone surviving state (t_{i-1}, t_i) = (a, b) and its score s while
+    # states is None, else states maps each survivor to its score.  Before
+    # position 0 both tags are the boundary k, and 0.0 + log_trans is
+    # log_trans exactly.
+    a, b, s, states = k, k, 0.0, None
+    backs = []  # per position: t_{i-2}, an int or a dict (t_{i-1}, t_i) -> t_{i-2}
     for word in tokens:
-        emis_tags, emis_logs = emission_row(word)
-        scores, back = {}, {}
-        for (a, b), s in sorted(states.items()) if len(states) > 1 else states.items():
+        known = form_index(word)
+        emis_tags, emis_logs = emission_row(word) if known is None else form_emissions[known]
+        if states is None:
             row = lt[a][b]
-            for c, x in zip(emis_tags, emis_logs):
-                score = (s + row[c]) + x
-                key = b, c
-                if score > scores.get(key, NEG_INF):
-                    scores[key] = score
-                    back[key] = a
+            if len(emis_tags) == 1:  # the state stays lone
+                s = (s + row[emis_tags[0]]) + emis_logs[0]
+                if s == NEG_INF:
+                    return [tags[0]] * len(tokens)
+                backs.append(a)
+                a, b = b, emis_tags[0]
+                continue
+            scores = {(b, c): score for c, x in zip(emis_tags, emis_logs) if (score := (s + row[c]) + x) > NEG_INF}
+            back = a
+        else:
+            scores, back = {}, {}
+            for (a, b), s in sorted(states.items()):
+                row = lt[a][b]
+                for c, x in zip(emis_tags, emis_logs):
+                    score = (s + row[c]) + x
+                    key = b, c
+                    if score > scores.get(key, NEG_INF):
+                        scores[key] = score
+                        back[key] = a
         if not scores:
             return [tags[0]] * len(tokens)
         if cut is not None and len(scores) > 1:
             floor = max(scores.values()) - cut
             scores = {state: s for state, s in scores.items() if s >= floor}
-        states = scores
         backs.append(back)
+        if len(scores) > 1:
+            states = scores
+        else:
+            [((a, b), s)], states = scores.items(), None
 
-    prev, cur = max(sorted(states), key=states.__getitem__)  # max keeps the first of equals
-    rev = [cur]
+    if states is not None:
+        a, b = max(sorted(states), key=states.__getitem__)  # max keeps the first of equals
+    rev = [b]
     for back in reversed(backs[1:]):
-        prev, cur = back[prev, cur], prev
-        rev.append(cur)
+        a, b = back if isinstance(back, int) else back[a, b], a
+        rev.append(b)
     return [tags[i] for i in reversed(rev)]
 
 

@@ -84,7 +84,7 @@ class TestSummary:
         change = [_line(0.41 + 0.01 * i, 1200.0 + i, failed=i == 3) for i in range(10)]
         got = pairs.summarise(_records(parent, change), METRICS)["tnt-200k"]
         assert got["seeds"] == list(range(211, 221)) and got["pairs"] == 10
-        assert got["all_correct"]
+        assert got["all_correct"] and got["incorrect"] == []
         assert got["failed_ops"] == {"parent": 0, "change": 1}
         assert got["attempted_ops"] == {"parent": 1000, "change": 1000}
         tag, setup = got["metrics"]["tag_tok_s"], got["metrics"]["setup_s"]
@@ -96,6 +96,17 @@ class TestSummary:
         records = _records([_line(1.0, 10.0)] * 3, [_line(1.0, 11.0, correct=False)] * 3)
         got = pairs.summarise(records[:-1], METRICS)["tnt-200k"]
         assert got["pairs"] == 2 and not got["all_correct"]
+
+    def test_incorrect_runs_are_named_by_seed_and_side(self):
+        # seed 212 fails on both sides, a fault the two share; 214 only in the change
+        wrong = {(212, "parent"), (212, "change"), (214, "change")}
+        parent = [_line(1.0, 10.0, correct=(211 + i, "parent") not in wrong) for i in range(5)]
+        change = [_line(1.0, 11.0, correct=(211 + i, "change") not in wrong) for i in range(5)]
+        got = pairs.summarise(_records(parent, change), METRICS)["tnt-200k"]
+        assert not got["all_correct"]
+        assert got["incorrect"] == [{"seed": 212, "side": "parent"}, {"seed": 212, "side": "change"},
+                                    {"seed": 214, "side": "change"}]
+        assert got["pairs"] == 5 and got["metrics"]["tag_tok_s"]["change_wins"] == 5
 
     def test_report_from_a_log(self, tmp_path):
         log = tmp_path / "runs.jsonl"

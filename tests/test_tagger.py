@@ -53,6 +53,8 @@ class TestHyperparams:
         ("word_dim", 4.0), ("subtoken_dim", -1), ("hidden_dim", None),
         ("lr", math.inf), ("lr", math.nan), ("lr", 0.0), ("lr", "0.1"), ("lr", True),
         ("sigma", math.nan), ("sigma", -math.inf), ("sigma", math.inf), ("sigma", -0.1),
+        # ints too large for a float
+        pytest.param("lr", 10**400, id="lr-huge-int"), pytest.param("sigma", 10**400, id="sigma-huge-int"),
     ])
     def test_bad_value_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=f"hyperparameter {field} must"):
@@ -448,7 +450,9 @@ class TestBadHeader:
 
     @pytest.mark.parametrize("field,value", [("hidden_dim", 4.0), ("sigma", math.nan), ("lr", math.inf),
                                              ("epochs", True), ("freqbin", "no"), ("freqbin", 0),
-                                             ("pretrained_path", 5), ("pretrained_path", "")])
+                                             ("pretrained_path", 5), ("pretrained_path", ""),
+                                             pytest.param("lr", 10**400, id="lr-huge-int"),
+                                             pytest.param("sigma", 10**400, id="sigma-huge-int")])
     def test_bad_hyperparameter_names_hp(self, tmp_path, field, value):
         from seqtag.container import ModelError
 

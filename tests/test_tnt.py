@@ -314,12 +314,15 @@ class TestSuffixTrie:
 
     @settings(max_examples=80, deadline=None)
     @given(_trie_cases())
+    # no rare word, so both tries are empty; a single one-character word
+    @example(case=(Corpus([Sentence(["a", "a", "B", "B"], ["A", "B", "A", "A"])]), ["ba", "B"], 10, 1))
+    @example(case=(Corpus([Sentence(["é"], ["A"])]), ["aé", "b", "é"], 1, 10))
     def test_same_nodes_distributions_and_queries_as_the_string_keyed_trie(self, case):
         corpus, queries, max_suffix_len, suffix_max_freq = case
         model = train_hmm(corpus, max_suffix_len, suffix_max_freq)
         want = ReferenceTnt(corpus, max_suffix_len, suffix_max_freq)
         for trie, ref in ((model.trie_upper, want.trie_upper), (model.trie_lower, want.trie_lower)):
-            assert len(trie.dist) == len(ref.dist)
+            assert trie.dist.shape == (len(ref.dist), len(model.tagset))
             if not ref:
                 continue
             # every stored suffix has its own row, numbered shortest suffix first
@@ -339,6 +342,22 @@ class TestSuffixTrie:
                     for t in model.tagset
                 ]
                 assert _row(trie.emission_row(word), len(model.tagset)) == logp, word
+
+    def test_build_peak_above_what_it_keeps_per_row(self):
+        # per-depth word and row lists kept to the end, an int64 copy of the
+        # code points and a second copy of the counts took 187 bytes a row
+        train_c, _ = make_suffix_corpus(3000, 10, seed=3, types_per_tag=4000, min_len=3, max_len=29)
+        model = train_hmm(train_c)
+        rare = np.flatnonzero(model.freq <= model.suffix_max_freq)
+        words, counts = [model.forms[i] for i in rare], model.emit[rare]
+        tracemalloc.start()
+        try:
+            trie = SuffixTrie(words, counts, model.theta, model.max_suffix_len)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trie.dist) > 10_000
+        assert (peak - kept) / len(trie.dist) <= 80
 
 
 class TestDataBenefit:
@@ -657,6 +676,49 @@ def _tie_model(i):
     return train_hmm(corpus, max_suffix_len, suffix_max_freq), test
 
 
+@st.composite
+def _long_cases(draw):
+    """(model, test sentences of 1-12 tokens) over 2-5 tags.  The training
+    words are single-tag ones, each seen with one tag, and multi-tag ones,
+    each seen with two or more; the test sentences mix them with unseen
+    words, whose suffix rows have several tags.  So one state survives along
+    runs of single-tag words, several survive after the other words, and a
+    run can start and end anywhere in a sentence."""
+    tags = draw(st.lists(st.sampled_from("ABCDE"), min_size=2, max_size=5, unique=True))
+    single = {f"s{i}": draw(st.sampled_from(tags)) for i in range(draw(st.integers(1, 4)))}
+    multi = {
+        f"m{i}": draw(st.lists(st.sampled_from(tags), min_size=2, max_size=len(tags), unique=True))
+        for i in range(draw(st.integers(1, 3)))
+    }
+    seen = list(single.items()) + [(w, t) for w, ts in multi.items() for t in ts]
+    sents = [list(seen)] + draw(st.lists(st.lists(st.sampled_from(seen), min_size=1, max_size=8), max_size=6))
+    corpus = Corpus([Sentence([w for w, _ in s], [t for _, t in s]) for s in sents])
+    words = st.sampled_from(sorted(single) * 3 + sorted(multi) + ["zz", "Qs", "xm0"])
+    test = draw(st.lists(st.lists(words, min_size=1, max_size=12), min_size=1, max_size=3))
+    return train_hmm(corpus), test
+
+
+def _one_tag_run_model():
+    """Every word of one tag, the tags in a cycle: 12 tokens, one survivor throughout."""
+    corpus = Corpus([Sentence(list("abcabca"), list("ABCABCA")), Sentence(list("bcab"), list("BCAB"))])
+    return train_hmm(corpus), [list("abcabcabcabc")]
+
+
+def _zero_step_model():
+    """Bigram estimates only (lambdas 0, 1, 0), and B never follows B: 'a'
+    and 'ab' are single-tag B words, so the path dies at the fourth token,
+    inside the run 'a', 'ab', 'a', 'ab', and the sentence takes the first
+    tag everywhere."""
+    corpus = Corpus([Sentence(["ab", "b"], ["B", "A"]), Sentence(["a", "b"], ["B", "A"]), Sentence(["b"], ["B"])])
+    return train_hmm(corpus), [["ab", "b", "a", "ab", "a", "ab"]]
+
+
+def _one_token_model():
+    """One-token sentences: a single-tag word, a multi-tag word, an unseen word."""
+    corpus = Corpus([Sentence(["a", "b", "b"], ["A", "B", "A"])])
+    return train_hmm(corpus), [["a"], ["b"], ["zz"]]
+
+
 class TestDecoderAgainstOracles:
     @settings(max_examples=150, deadline=None)
     @given(case=_decoder_cases())
@@ -669,6 +731,24 @@ class TestDecoderAgainstOracles:
             for beam in (0, 1.5, 2, 1000.0):
                 assert viterbi(model, tokens, beam) == reference_viterbi(model, tokens, beam), (tokens, beam)
             _check_exact_path(model, tokens)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_long_cases())
+    @example(case=_one_tag_run_model())
+    @example(case=_zero_step_model())
+    @example(case=_one_token_model())
+    def test_long_sentences_through_one_and_several_survivors(self, case):
+        model, test = case
+        for tokens in test:
+            for beam in (0, 1, 1.5, 2, 1000.0):
+                assert viterbi(model, tokens, beam) == reference_viterbi(model, tokens, beam), (tokens, beam)
+
+    def test_recorded_examples_take_their_paths(self):
+        model, [tokens] = _one_tag_run_model()
+        assert viterbi(model, tokens) == list("ABCABCABCABC")
+        model, [tokens] = _zero_step_model()
+        assert model.lambdas == (0.0, 1.0, 0.0)
+        assert viterbi(model, tokens[:3]) == ["B", "A", "B"] and viterbi(model, tokens) == ["A"] * 6
 
     @pytest.mark.parametrize("i", range(len(_TIES)))
     def test_recorded_ties_are_ties(self, i):

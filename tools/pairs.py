@@ -20,7 +20,10 @@ the parent's; and whether the metric stayed within its bound, that is,
 whether its median got worse by no more than the bound (a share of the
 parent's median).  A metric's claim holds when the change wins at least 9
 of 10 pairs (the same share of other counts) and its median is better by
-more than the parent's interquartile range.  Standard library only.
+more than the parent's interquartile range.  Per workload it also says
+whether every run was correct, and lists each run that was not by seed and
+side: a seed that fails on both sides is a fault the two share, not a
+regression.  Standard library only.
 """
 
 import argparse
@@ -111,6 +114,8 @@ def summarise(records, metrics):
             "seeds": [seed for _, seed in done],
             "pairs": len(done),
             "all_correct": all(line["correct"] for side in SIDES for line in lines[side]),
+            "incorrect": [{"seed": seed, "side": side} for pair, seed in done for side in SIDES
+                          if not pairs[pair, seed][side]["correct"]],
             "failed_ops": {side: sum(line["failed"] for line in lines[side]) for side in SIDES},
             "attempted_ops": {side: sum(line["attempted"] for line in lines[side]) for side in SIDES},
             "metrics": {

@@ -5,7 +5,8 @@ concatenated in the fixed order word o char o byte:
 
   w    learned word embedding (UNK row for unseen forms)
   c    sequence bi-LSTM over [start, code points..., end] character ids
-  b    sequence bi-LSTM over [start, UTF-8 bytes..., end] byte ids
+  b    sequence bi-LSTM over [start, UTF-8 bytes..., end] byte ids (a lone
+       surrogate, which UTF-8 cannot hold, as its three surrogatepass bytes)
 
 The c and b sources are one compositional word encoder (Ling et al. 2015,
 arXiv:1508.02096) run over two symbol inventories: a `Subword` holds one
@@ -162,7 +163,7 @@ class TokenEncoder:
         self.word_table = Parameter("word_emb", glorot(rng, vocab.n_words, word_dim)) if "w" in mode else None
         levels = {
             "c": ("char", vocab.n_chars, lambda w: [vocab.char_id(ch) for ch in w], CHAR_START, CHAR_END),
-            "b": ("byte", N_BYTE_SYMBOLS, lambda w: w.encode("utf-8"), BYTE_START, BYTE_END),
+            "b": ("byte", N_BYTE_SYMBOLS, lambda w: w.encode("utf-8", "surrogatepass"), BYTE_START, BYTE_END),
         }
         self.subwords = [Subword(*levels[k], subtoken_dim, hidden_dim, rng) for k in "cb" if k in mode]
         # width of encode's rows: the word table's plus each subword bi-LSTM's

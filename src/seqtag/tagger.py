@@ -26,7 +26,7 @@ import numpy as np
 from .autodiff import Parameter, Rng, Tape, add, affine, gaussian_noise, glorot, sgd_step, softmax_xent
 from .container import ModelError, distinct_strings, header_field, load_container, save_container
 from .recurrent import LstmCell, birnn_ctx
-from .representations import REPR_MODES, TokenEncoder, Vocab, build_vocab, read_embeddings
+from .representations import N_BYTE_SYMBOLS, REPR_MODES, TokenEncoder, Vocab, build_vocab, read_embeddings
 
 log = logging.getLogger(__name__)
 
@@ -288,13 +288,38 @@ def load(path):
     hp = header_field(path, header, "hp", lambda d: Hyperparams(**d))
     vocab = header_field(path, header, "vocab", Vocab.from_dict)
     tagset = header_field(path, header, "tagset", lambda t: distinct_strings(t, "tagset"))
-    model = TaggerModel(hp, vocab, tagset, header_field(path, header, "n_bins", lambda n: _n_bins(n, vocab)))
-    for p in model.parameters():
-        if p.name not in arrays:
-            raise ModelError(f"{path}: missing parameter block {p.name!r}")
-        if arrays[p.name].shape != p.v.shape:
+    n_bins = header_field(path, header, "n_bins", lambda n: _n_bins(n, vocab))
+    for name, shape in _parameter_shapes(hp, vocab, len(tagset), n_bins):  # before anything is built
+        if name not in arrays:
+            raise ModelError(f"{path}: missing parameter block {name!r}")
+        if arrays[name].shape != shape:
             raise ModelError(
-                f"{path}: parameter {p.name!r} has shape {arrays[p.name].shape}, expected {p.v.shape}"
+                f"{path}: parameter {name!r} has shape {arrays[name].shape}, but 'hp', 'vocab', 'tagset' and "
+                f"'n_bins' give {shape}"
             )
+    model = TaggerModel(hp, vocab, tagset, n_bins)
+    for p in model.parameters():
         p.v = arrays[p.name]
     return model
+
+
+def _parameter_shapes(hp, vocab, n_tags, n_bins):
+    """(name, shape) of each parameter of a TaggerModel, in its order,
+    computed on Python ints without building one: a header's dims can be
+    far too large for numpy, and only the file's own blocks bound them."""
+    h, sub = hp.hidden_dim, hp.subtoken_dim
+
+    def cell(name, d):
+        return [(f"{name}.W_x", (4 * h, d)), (f"{name}.W_h", (4 * h, h)), (f"{name}.b", (4 * h,))]
+
+    words = "w" in hp.repr_mode
+    levels = [(lv, n) for lv, n in (("char", vocab.n_chars), ("byte", N_BYTE_SYMBOLS)) if lv[0] in hp.repr_mode]
+    shapes = [("word_emb", (vocab.n_words, hp.word_dim))] if words else []
+    for level, n_symbols in levels:
+        shapes += [(f"{level}_emb", (n_symbols, sub)), *cell(f"{level}_f", sub), *cell(f"{level}_r", sub)]
+    out_dim = (hp.word_dim if words else 0) + 2 * h * len(levels)
+    shapes += [*cell("ctx_f", out_dim), *cell("ctx_r", out_dim)]
+    shapes += [("tag_head.W", (n_tags, 2 * h)), ("tag_head.b", (n_tags,))]
+    if hp.freqbin:
+        shapes += [("freq_head.W", (n_bins, 2 * h)), ("freq_head.b", (n_bins,))]
+    return shapes

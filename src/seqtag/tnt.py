@@ -29,8 +29,9 @@ token's history is the two ids before it.  Each count array is one
 bincount of intp codes, which it reads without a copy.  A suffix trie is
 built from the code points of its words, depth by depth: one np.unique per
 suffix length numbers that depth's rows, and one bincount per tag counts
-them, so no per-word array outlives its depth.  It is walked by integer
-keys.
+them, so no per-word array outlives its depth.  It keeps its child map as
+one string of the characters that label the rows and an array of offsets
+into it, and a query walks it by str.find within a row's children.
 
 Transitions are trigram relative frequencies smoothed by deleted
 interpolation; emissions are maximum-likelihood word-given-tag
@@ -70,6 +71,7 @@ their unknown words untaggable.
 
 import itertools
 import math
+from array import array
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -109,13 +111,16 @@ class SuffixTrie:
     normalised into `dist` in place.  Row i of `dist` is one suffix.  Rows
     are numbered shortest suffix first, so the root '' is row 0 and every
     row comes after its parent (the suffix minus its first character); a
-    depth's rows are in (parent row, code point) order.  `children` maps
-    code point * stride + parent row to the child's row, stride being the
-    least power of two above every row, so a key's low bits are its parent
-    row and the dict's slots spread over the rows; a query walks it down
-    from the root to the longest suffix of the word in the trie.  The dict
-    is built last, from one array of keys, since its growth sets the
-    build's memory peak.
+    depth's rows are in (parent row, code point) order.  So the rows after
+    the root, in order, have parent rows that never decrease, and the
+    children of a row are one run of them.  The child map is two flat
+    objects built from the keys: `labels`, a str whose character j is the
+    one that row j + 1 adds to its parent's suffix, and `first`, an
+    array('q') of rows + 1 offsets, row p's children being the rows j + 1
+    for j in range(first[p], first[p + 1]).  A row costs one character and
+    one 8-byte offset, and no Python object of its own.  A query walks
+    down from the root to the longest suffix of the word in the trie,
+    finding each character among the labels of the current row's children.
 
     Row distributions are blended with their parent: P(t|s_1..i) =
     (ML(t|s_1..i) + theta * P(t|s_2..i)) / (1 + theta), rooted at the ML
@@ -144,11 +149,10 @@ class SuffixTrie:
             dist[a:b] = (dist[a:b] + theta * dist[parent[a - 1 : b - 1]]) / (1.0 + theta)
         self.dist = dist
         self._prior = dist[0].tolist() if len(dist) else []  # the root's P(t), as emission_row reads it
-        self.stride = 1 << max(depth_ends[-1] - 1, 0).bit_length()
-        code *= self.stride
-        code += parent
-        del parent  # only dist and the keys are left while the dict grows
-        self.children = dict(zip(code.tolist(), range(1, len(code) + 1)))
+        self.labels = code.astype(np.uint32).tobytes().decode("utf-32-le", "surrogatepass")
+        del code
+        first = np.searchsorted(parent, np.arange(max(len(dist), 1) + 1))  # an empty trie walks as a bare root
+        self.first = array("q", first.astype(np.int64, copy=False).tobytes())
         self._rows = {}  # row -> (tag ids, logs), filled by emission_row
         self._tag_ids = {}  # one tuple object per distinct tag ids of the rows
 
@@ -157,13 +161,16 @@ class SuffixTrie:
 
     def row(self, word):
         """Row of the longest suffix of word in the trie, the root when none
-        matches (the trie is max_len deep, so the walk stops by then)."""
-        row, stride, child_of = 0, self.stride, self.children.get
-        for c in map(ord, reversed(word)):
-            child = child_of(c * stride + row)
-            if child is None:
+        matches.  Each character of word, last first, is looked for by
+        str.find in labels[first[row]:first[row + 1]], the current row's
+        children, and a hit at j moves to row j + 1; the walk stops at the
+        first miss (the trie is max_len deep, so it stops by then)."""
+        row, labels, first = 0, self.labels, self.first
+        for ch in reversed(word):
+            j = labels.find(ch, first[row], first[row + 1])
+            if j < 0:
                 break
-            row = child
+            row = j + 1
         return row
 
     def emission_row(self, word):

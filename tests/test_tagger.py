@@ -12,6 +12,7 @@ from seqtag.tagger import (
     DivergenceError,
     Hyperparams,
     TaggerModel,
+    _parameter_shapes,
     forward_sentence,
     freqbin_label,
     load,
@@ -506,6 +507,34 @@ class TestBadHeader:
         with pytest.raises(ModelError, match="'word_emb' has shape"):
             load(path)
 
+    @pytest.mark.parametrize("value", [2**63, 10**400, 10**9], ids=["2**63", "10**400", "10**9"])
+    @pytest.mark.parametrize("field", ["word_dim", "subtoken_dim", "hidden_dim"])
+    def test_dim_beyond_the_blocks_names_hp_before_building(self, tmp_path, monkeypatch, field, value):
+        # 2**63 and 10**400 once raised numpy's bare "Maximum allowed dimension
+        # exceeded"; 10**9 would have asked for tens of GB of LSTM biases
+        from seqtag import representations, tagger
+        from seqtag.container import ModelError
+
+        path = self._rewrite(tmp_path, lambda h: h["hp"].update({field: value}))
+
+        def built(*args):
+            raise AssertionError("a parameter was built")
+
+        for module in (representations, tagger):
+            monkeypatch.setattr(module, "LstmCell", built)
+        with pytest.raises(ModelError, match="'hp'") as err:
+            load(path)
+        assert path in str(err.value)
+
+
+@pytest.mark.parametrize("mode", ["b", "c+b"])
+def test_lone_surrogate_tagged_in_byte_mode(mode):
+    # UTF-8 cannot hold it; surrogatepass gives it three bytes, as TnT's tries read it
+    corpus = _toy_corpus()
+    model = train(corpus, _small_hp(epochs=1, repr_mode=mode, subtoken_dim=3, hidden_dim=3))
+    tags = model.predict(["the", "\ud800", "a\udfffb"])
+    assert len(tags) == 3 and set(tags) <= set(model.tagset)
+
 
 @pytest.mark.parametrize("bad", ["", None, 7], ids=["empty", "None", "int"])
 @pytest.mark.parametrize("kind", ["w", "w+c", "tnt"])
@@ -589,6 +618,16 @@ class TestSavedNames:
         want += _cell("ctx_f") + _cell("ctx_r") + ["tag_head.W", "tag_head.b"]
         want += ["freq_head.W", "freq_head.b"] if freqbin else []
         assert [p.name for p in model.parameters()] == want
+
+    @pytest.mark.parametrize("freqbin", [False, True], ids=["plain", "freqbin"])
+    @pytest.mark.parametrize("mode", ["w", "c", "b", "c+b", "w+c"])
+    def test_load_checks_the_shapes_the_model_builds(self, mode, freqbin):
+        corpus = _toy_corpus()
+        hp = _small_hp(repr_mode=mode, freqbin=freqbin, word_dim=5, subtoken_dim=3, hidden_dim=4)
+        vocab = build_vocab(corpus)
+        model = TaggerModel(hp, vocab, corpus.tagset(), 2)
+        want = [(p.name, p.v.shape) for p in model.parameters()]
+        assert _parameter_shapes(hp, vocab, len(corpus.tagset()), 2) == want
 
     def test_header_holds_what_load_reads(self, tmp_path):
         from seqtag.container import load_container

@@ -317,6 +317,15 @@ class TestSuffixTrie:
     # no rare word, so both tries are empty; a single one-character word
     @example(case=(Corpus([Sentence(["a", "a", "B", "B"], ["A", "B", "A", "A"])]), ["ba", "B"], 10, 1))
     @example(case=(Corpus([Sentence(["é"], ["A"])]), ["aé", "b", "é"], 1, 10))
+    # "y" and "x" label rows, but not children of "a" and "b": the search stays
+    # within a row's children; "x", "y" and the last row "yb" have none
+    @example(case=(Corpus([Sentence(["xa", "yb"], ["A", "B"])]), ["ya", "xb", "zxa", "yyb"], 10, 10))
+    # every suffix of the queries matches up to max_suffix_len, and the walk stops there
+    @example(case=(Corpus([Sentence(["abc", "zbc"], ["A", "B"])]), ["abc", "zabc", "bbc"], 2, 10))
+    # astral and lone-surrogate labels
+    @example(case=(Corpus([Sentence(["a\U0001d518\ud800", "\ud800\U0001d518"], ["A", "B"])]),
+                   ["b\U0001d518\ud800", "\ud800", "\U0001d518", "\U0001d518\U0001d518", "a\ud800\U0001d518"],
+                   10, 10))
     def test_same_nodes_distributions_and_queries_as_the_string_keyed_trie(self, case):
         corpus, queries, max_suffix_len, suffix_max_freq = case
         model = train_hmm(corpus, max_suffix_len, suffix_max_freq)
@@ -358,6 +367,26 @@ class TestSuffixTrie:
             tracemalloc.stop()
         assert len(trie.dist) > 10_000
         assert (peak - kept) / len(trie.dist) <= 80
+        # k = 5 float64 distributions take 40 of these; a dict of children took 141 bytes a row in all
+        assert kept / len(trie.dist) <= 64
+
+    def test_children_are_one_label_string_and_offsets(self):
+        train_c, _ = make_suffix_corpus(120, 10, seed=4)
+        model = train_hmm(train_c)
+        assert model.trie_lower
+        for trie in filter(None, (model.trie_upper, model.trie_lower)):
+            rows = len(trie.dist)
+            assert type(trie.labels) is str and len(trie.labels) == rows - 1
+            assert trie.first.typecode == "q" and len(trie.first) == rows + 1
+            assert list(trie.first) == sorted(trie.first) and trie.first[-1] == rows - 1
+            # no per-row Python object: the memos of queried rows start empty
+            assert not trie._rows and not trie._tag_ids
+            assert [name for name, value in vars(trie).items() if isinstance(value, dict)] == ["_rows", "_tag_ids"]
+
+    @pytest.mark.parametrize("word", ["a", "abc", "\ud800", ""])
+    def test_empty_trie_walks_to_the_root(self, word):
+        trie = SuffixTrie([], np.zeros((0, 3), dtype=np.int64), 0.0, 10)
+        assert not trie and trie.row(word) == 0
 
 
 class TestDataBenefit:

@@ -91,9 +91,12 @@ class Vocab:
     @classmethod
     def from_dict(cls, d):
         """The Vocab of to_dict's lists; ValueError naming the list that no
-        Vocab writes: words or chars not distinct strings, a char of more
+        Vocab writes: words or chars not distinct strings, words not led by
+        the UNK form (unseen words would take word 0's row), a char of more
         than one character, or counts not one non-negative int per word."""
         words = distinct_strings(d["words"], "words")
+        if words[:1] != [UNK_FORM]:
+            raise ValueError(f"'words' must start with {UNK_FORM!r}, the UNK row")
         chars = distinct_strings(d["chars"], "chars")
         counts = d["counts"]
         if any(len(ch) != 1 for ch in chars):

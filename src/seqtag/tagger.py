@@ -206,6 +206,8 @@ def train(train_corpus, hp, dev_corpus=None):
     """
     if not train_corpus.sentences:
         raise ValueError("train: empty corpus")
+    if dev_corpus is not None and not dev_corpus.sentences:
+        raise ValueError("train: empty dev corpus")
     vocab = build_vocab(train_corpus)
     tagset = train_corpus.tagset()
     n_bins = n_bins_of(vocab)

@@ -18,20 +18,22 @@ back to every tag with log 1/k.  A row is at most three objects that the
 garbage collector tracks, whatever its number of tags.
 
 Everything is counted on integer codes, streamed from the sentences with no
-whole-corpus list of strings.  `train_hmm` takes the tagset and the forms
-in first-occurrence order from passes that run in C (the readers hand it
-one string object per type, so each hash is computed once), then reads
-every token's tag id into an array of the narrowest integer type that
-holds the boundary id, and its form id into an intp array, which it turns
-into (form, tag) codes in place.  The trigram codes come from one tag
-sequence in which each sentence follows two boundary slots, so every
-token's history is the two ids before it.  Each count array is one
-bincount of intp codes, which it reads without a copy.  A suffix trie is
-built from the code points of its words, depth by depth: one np.unique per
-suffix length numbers that depth's rows, and one bincount per tag counts
-them, so no per-word array outlives its depth.  It keeps its child map as
-one string of the characters that label the rows and an array of offsets
-into it, and a query walks it by str.find within a row's children.
+whole-corpus list of strings.  `train_hmm` reads each column of the token
+stream once, the tags and then the forms, in a pass that runs in C and
+numbers each string on first sight (the readers hand it one string object
+per type, so each hash is computed once).  The forms come out in
+first-occurrence order; the tags' ids are mapped to their ranks in the
+sorted tagset, as the narrowest integer type that holds the boundary id,
+and the form ids, an intp array, are turned into (form, tag) codes in
+place.  The trigram codes come from one tag sequence in which each sentence
+follows two boundary slots, so every token's history is the two ids before
+it.  Each count array is one bincount of intp codes, which it reads without
+a copy.  A suffix trie is built from the code points of its words, depth by
+depth: one np.unique per suffix length numbers that depth's rows, and one
+bincount per tag counts them, so no per-word array outlives its depth.  It
+keeps its child map as one string of the characters that label the rows and
+an array of offsets into it, and a query walks it by str.find within a
+row's children.
 
 Transitions are trigram relative frequencies smoothed by deleted
 interpolation; emissions are maximum-likelihood word-given-tag
@@ -72,6 +74,7 @@ their unknown words untaggable.
 import itertools
 import math
 from array import array
+from collections import defaultdict
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -223,17 +226,23 @@ def _counts(name, a, shape):
     return a.astype(np.int64)
 
 
+def _number(x, kinds):
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
+def _is_beam(beam):
+    """Whether beam is a beam factor: 0 (exact), or a finite int or float >=
+    1 that is not a bool.  NaN fails both comparisons."""
+    return _number(beam, (int, float)) and (beam == 0 or 1 <= beam < math.inf)
+
+
 def _check_config(max_suffix_len, suffix_max_freq, beam_default):
     """ValueError naming the first config field of the wrong type or range."""
-
-    def number(x, kinds):
-        return isinstance(x, kinds) and not isinstance(x, bool)
-
-    if not (number(max_suffix_len, int) and max_suffix_len >= 1):
+    if not (_number(max_suffix_len, int) and max_suffix_len >= 1):
         raise ValueError(f"'max_suffix_len' must be an integer >= 1, got {max_suffix_len!r}")
-    if not (number(suffix_max_freq, int) and suffix_max_freq >= 0):
+    if not (_number(suffix_max_freq, int) and suffix_max_freq >= 0):
         raise ValueError(f"'suffix_max_freq' must be an integer >= 0, got {suffix_max_freq!r}")
-    if not (number(beam_default, (int, float)) and (beam_default == 0 or 1 <= beam_default < math.inf)):
+    if not _is_beam(beam_default):
         raise ValueError(f"'beam_default' must be 0 or a finite number >= 1, got {beam_default!r}")
 
 
@@ -367,26 +376,41 @@ def train_hmm(corpus, max_suffix_len=10, suffix_max_freq=10, beam_default=1000.0
 
 
 def _count(corpus):
-    """(tagset, tri, forms, emit) of a corpus.  Passes that run in C stream
-    the tokens of every sentence, with no whole-corpus list: the tagset, the
-    forms in first-occurrence order, then every token's tag and form id,
-    each straight into an array.  Each count array is one bincount."""
+    """(tagset, tri, forms, emit) of a corpus.  Each column of the token
+    stream, the tags and then the forms of every sentence in turn, is read
+    once, by one pass that runs in C and writes each token's id straight
+    into an intp array, with no whole-corpus list of strings.  The ids come
+    from a dict that numbers each string on first sight, so the forms come
+    out in first-occurrence order.  The tags' ids are mapped through a
+    k-entry array to their ranks in the sorted tagset, as the narrowest
+    integer type that holds the boundary id k, before the forms are read.
+    The sentence lengths are the lengths of the form lists.  Each count
+    array is one bincount."""
     sentences = corpus.sentences
+    lengths = np.fromiter(map(len, map(attrgetter("forms"), sentences)), np.intp, len(sentences))
+    n = int(lengths.sum())
 
-    def stream(name):
-        return itertools.chain.from_iterable(map(attrgetter(name), sentences))
+    def first_seen_ids(name):
+        """Each token's id in one column, and the dict that numbered them."""
+        ids = defaultdict(itertools.count().__next__)
+        tokens = itertools.chain.from_iterable(map(attrgetter(name), sentences))
+        return np.fromiter(map(ids.__getitem__, tokens), np.intp, n), ids
 
-    tag_id = dict(zip(sorted(set(stream("tags"))), itertools.count()))
-    form_id = dict.fromkeys(stream("forms"))
-    form_id.update(zip(form_id, itertools.count()))  # values only: the dict keeps its size
-    k, n = len(tag_id), corpus.n_tokens()
-    tags = np.fromiter(map(tag_id.__getitem__, stream("tags")), np.min_scalar_type(k), n)  # holds k, the boundary
-    tri = _trigrams(tags, np.fromiter(map(len, sentences), np.intp, len(sentences)), k)
-    codes = np.fromiter(map(form_id.__getitem__, stream("forms")), np.intp, n)
+    seen, tag_id = first_seen_ids("tags")
+    tagset = sorted(tag_id)
+    k = len(tagset)
+    rank = np.empty(k, np.min_scalar_type(k))  # holds k, the boundary
+    rank[[tag_id[t] for t in tagset]] = np.arange(k)
+    tags = rank[seen]
+    del seen
+    tri = _trigrams(tags, lengths, k)
+    codes, form_id = first_seen_ids("forms")
+    forms = list(form_id)
+    del form_id  # and its int values, before emit is allocated
     codes *= k
     codes += tags
-    emit = np.bincount(codes, minlength=len(form_id) * k).reshape(-1, k)
-    return list(tag_id), tri, list(form_id), emit
+    emit = np.bincount(codes, minlength=len(forms) * k).reshape(-1, k)
+    return tagset, tri, forms, emit
 
 
 def _trigrams(tags, lengths, k):
@@ -420,11 +444,12 @@ def viterbi(model, tokens, beam=1000.0):
     shares.  Only when two or more states survive does a position build
     dicts of scores and back pointers ((t_{i-1}, t_i) -> t_{i-2}), at the
     cost of a sort of the survivors and survivors x (the token's tags)
-    additions, at most survivors x k.  With beam factor B > 0, states
-    scoring below best - ln(B) are dropped at each position, the first
-    included; beam = 0 keeps every state of nonzero probability, which is
-    up to k^2 states a position and slower than a dense numpy step for
-    large k.
+    additions, at most survivors x k.  With a beam factor B, a finite int
+    or float >= 1, states scoring below best - ln(B) are dropped at each
+    position, the first included; beam = 0 keeps every state of nonzero
+    probability, which is up to k^2 states a position and slower than a
+    dense numpy step for large k.  Any other beam raises ValueError, as the
+    config's beam_default does.
 
     Ties resolve to the lowest tag indices: survivors are extended in
     ascending (previous, current) order, a state keeps its first best
@@ -441,8 +466,8 @@ def viterbi(model, tokens, beam=1000.0):
     """
     if not tokens:
         raise ValueError("viterbi: empty sentence")
-    if beam != 0 and beam < 1:
-        raise ValueError("beam factor must be 0 (exact) or >= 1")
+    if not _is_beam(beam):
+        raise ValueError(f"beam factor must be 0 (exact) or a finite number >= 1, got {beam!r}")
     check_tokens(tokens)
     tags = model.tagset
     k = len(tags)

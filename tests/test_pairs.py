@@ -136,3 +136,71 @@ def test_the_side_that_runs_first_alternates(monkeypatch, tmp_path):
     assert calls == [("P", 5), ("C", 5), ("C", 6), ("P", 6), ("P", 7), ("C", 7)]
     assert [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()] == records
     assert {r["commit"] for r in records if r["side"] == "change"} == {"C"}
+
+
+class TestSetupRecheck:
+    """A setup_s median that moves by more than 10% is timed again by
+    alternating setup_probe.py runs; the probe runner is stubbed here."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        calls = []
+
+        def write_corpora(checkout, workload, seed, out_dir):
+            calls.append(("gen", checkout, workload, seed))
+            return "seqtag.tnt", [f"{out_dir}/train.conllu", f"{out_dir}/test.conllu"]
+
+        def probe_once(checkout, module, files):
+            calls.append((checkout, module, tuple(Path(f).name for f in files)))
+            return {"P": 0.30, "C": 0.31}[str(checkout)] + 0.001 * len(calls)
+
+        monkeypatch.setattr(pairs, "write_corpora", write_corpora)
+        monkeypatch.setattr(pairs, "probe_once", probe_once)
+        return calls
+
+    def _summary(self, parent_setup, change_setup):
+        records = _records([_line(s, 1000.0) for s in parent_setup], [_line(s, 1000.0) for s in change_setup],
+                           first_seed=901)
+        return pairs.summarise(records, METRICS)
+
+    def test_a_moved_setup_is_probed_in_alternation_from_the_parents_corpora(self, probes):
+        workloads = self._summary([0.30] * 4, [0.36] * 4)  # x1.20
+        before = json.loads(json.dumps(workloads))
+        pairs.add_setup_rechecks(workloads, {"parent": "P", "change": "C"})
+        assert probes[0] == ("gen", "P", "tnt-200k", 901)
+        sides = [checkout for checkout, *_ in probes[1:]]
+        assert sides == ["P", "C", "C", "P"] * (pairs.SETUP_PROBES // 2)
+        assert {call[1:] for call in probes[1:]} == {("seqtag.tnt", ("train.conllu", "test.conllu"))}
+        recheck = workloads["tnt-200k"].pop("setup_recheck")
+        assert workloads == before  # the pairs' summary, bounds and claims untouched
+        assert (recheck["seed"], recheck["module"], recheck["probes"]) == (901, "seqtag.tnt", 20)
+        assert len(recheck["parent"]["runs"]) == len(recheck["change"]["runs"]) == 20
+        assert recheck["change_faster"] == 0 and recheck["change_over_parent"] > 1
+
+    @pytest.mark.parametrize("change", [0.32, 0.28])
+    def test_a_move_within_ten_percent_is_not_rechecked(self, probes, change):
+        workloads = self._summary([0.30] * 4, [change] * 4)
+        pairs.add_setup_rechecks(workloads, {"parent": "P", "change": "C"})
+        assert probes == [] and "setup_recheck" not in workloads["tnt-200k"]
+
+    def test_a_faster_setup_is_rechecked_too(self, probes):
+        workloads = self._summary([0.30] * 4, [0.25] * 4)
+        pairs.add_setup_rechecks(workloads, {"parent": "P", "change": "C"})
+        assert "setup_recheck" in workloads["tnt-200k"]
+
+    def test_from_log_makes_no_recheck(self, probes, tmp_path):
+        log = tmp_path / "runs.jsonl"
+        records = _records([_line(0.30, 1000.0)] * 4, [_line(0.50, 1000.0)] * 4)
+        log.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert pairs.main(["--from-log", str(log), "--label", "t", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+        assert probes == [] and "setup_recheck" not in doc["workloads"]["tnt-200k"]
+
+    def test_a_run_rechecks_after_its_pairs(self, probes, monkeypatch, tmp_path):
+        monkeypatch.setattr(pairs, "run_once", lambda checkout, *_: _line({"P": 0.30, "C": 0.40}[str(checkout)], 1e3))
+        monkeypatch.setattr(pairs, "_commit", str)
+        assert pairs.main(["P", "C", "--label", "t", "--workload", "tnt-200k", "--pairs", "2",
+                           "--first-seed", "5", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+        assert doc["workloads"]["tnt-200k"]["setup_recheck"]["seed"] == 5
+        assert probes[0] == ("gen", Path("P"), "tnt-200k", 5)

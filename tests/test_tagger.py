@@ -247,6 +247,12 @@ class TestTraining:
         model = train(corpus, _small_hp(epochs=1), dev_corpus=corpus)
         assert "dev_acc" in model.train_history[0]
 
+    def test_empty_dev_corpus_rejected_before_training(self, monkeypatch):
+        # it used to train a whole epoch, then raise ZeroDivisionError
+        monkeypatch.setattr("seqtag.tagger.sentence_loss", lambda *args: pytest.fail("trained on"))
+        with pytest.raises(ValueError, match="empty dev corpus"):
+            train(_toy_corpus(), _small_hp(epochs=1), dev_corpus=Corpus([]))
+
     def test_divergence_guard(self):
         # an absurd step size overflows the logits to inf, then lse goes nan
         corpus = _toy_corpus()
@@ -471,9 +477,11 @@ class TestBadHeader:
             (lambda h: h["vocab"].update(words=list(range(len(h["vocab"]["words"])))), "'vocab'.*'words'"),
             (lambda h: h["vocab"].update(chars=[ch + ch for ch in h["vocab"]["chars"]]), "'vocab'.*'chars'"),
             (lambda h: h["vocab"]["counts"].__setitem__(1, -1), "'vocab'.*'counts'"),
+            (lambda h: [h["vocab"][name].insert(0, h["vocab"][name].pop(1)) for name in ("words", "counts")],
+             "'vocab'.*'words'"),  # '<unk>' swapped with word 1: unseen words took word 1's row
         ],
         ids=["tagset-of-lists", "tagset-of-ints", "tagset-string", "int-words", "multi-char-chars",
-             "negative-count"],
+             "negative-count", "unk-not-at-0"],
     )
     def test_malformed_tagset_or_vocab_names_the_field(self, tmp_path, edit, field):
         # these used to load, or to fail with a bare TypeError

@@ -13,7 +13,7 @@ from seqtag.autodiff import Rng
 from seqtag.container import ModelError, load_container, save_container
 from seqtag.corpus import Corpus, Sentence
 from seqtag.synthetic import make_suffix_corpus
-from seqtag.tnt import BOUNDARY, CONFIG, SuffixTrie, _count, load_hmm, save_hmm, train_hmm, viterbi
+from seqtag.tnt import BOUNDARY, CONFIG, SuffixTrie, TrigramModel, _count, load_hmm, save_hmm, train_hmm, viterbi
 
 from reference import ReferenceTnt, brute_force_viterbi, count_reference, reference_viterbi, transition
 
@@ -90,6 +90,14 @@ class TestViterbiOracle:
             viterbi(model, ["w1"], beam=0.5)
         with pytest.raises(ValueError):
             viterbi(model, [], beam=0)
+        # the rule of the config's beam_default: NaN decoded exactly, the others raised TypeError or were taken
+        for beam in (float("nan"), math.inf, -1, "5", None, True, [5]):
+            with pytest.raises(ValueError, match="beam factor"):
+                viterbi(model, ["w1"], beam=beam)
+            with pytest.raises(ValueError, match="'beam_default'"):
+                TrigramModel(model.tagset, model.tri, model.forms, model.emit, beam_default=beam)
+        for beam in (0, 0.0, 1, 1.0, 5, 1e300):
+            assert viterbi(model, ["w1", "w2"], beam=beam) == reference_viterbi(model, ["w1", "w2"], beam)
 
     def test_ties_resolve_as_in_the_dense_decoder(self):
         # one form, so emissions hardly separate the paths and many scores tie
@@ -647,6 +655,16 @@ def _many_tags(k):
     return Corpus([Sentence([f"w{i % 3}" for i in range(k)], [f"T{i:03d}" for i in range(k)])])
 
 
+class _CountedList(list):
+    """A list that counts the iterations begun over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
 class TestCount:
     """The streamed counts against per-sentence dict loops."""
 
@@ -654,6 +672,7 @@ class TestCount:
     @given(corpus=_count_cases())
     @example(corpus=Corpus([Sentence(["é"], ["X"])]))
     @example(corpus=Corpus([Sentence(["零", "a", "零"], ["A", "B", "A"]), Sentence(["b"], ["C"])]))
+    @example(corpus=Corpus([Sentence(["run", "red", "ran"], ["VERB", "ADJ", "VERB"]), Sentence(["a"], ["DET"])]))
     @example(corpus=_many_tags(255))
     @example(corpus=_many_tags(256))
     def test_same_counts_as_the_dict_loops(self, corpus):
@@ -663,6 +682,15 @@ class TestCount:
         for got, want in ((tri, want_tri), (emit, want_emit)):
             assert got.dtype == np.int64 and got.flags.c_contiguous
             np.testing.assert_array_equal(got, want, strict=True)
+
+    def test_reads_each_column_once(self):
+        sentences = [Sentence(_CountedList(["a", "b", "a"]), _CountedList(["B", "A", "B"])),
+                     Sentence(_CountedList(["c"]), _CountedList(["C"]))]
+        lists = [column for s in sentences for column in (s.forms, s.tags)]
+        for column in lists:
+            column.iterations = 0  # whatever validating the sentence took
+        _count(Corpus(sentences))
+        assert [column.iterations for column in lists] == [1] * len(lists)
 
     def test_peak_memory_per_token(self):
         # whole-corpus lists of strings and int64 index arrays took 65 bytes a token

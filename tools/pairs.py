@@ -23,7 +23,17 @@ of 10 pairs (the same share of other counts) and its median is better by
 more than the parent's interquartile range.  Per workload it also says
 whether every run was correct, and lists each run that was not by seed and
 side: a seed that fails on both sides is a fault the two share, not a
-regression.  Standard library only.
+regression.
+
+A fresh process's set-up time drifts from run to run, so when a workload's
+setup_s median moves by more than 10% between the sides, the tool rechecks
+it: the parent's perfbench/gen.py writes that workload's corpora once, from
+the spec in the parent's perfbench/workloads.py at the workload's first
+seed, and perfbench/setup_probe.py times importing seqtag and reading them
+20 times per side, alternating, each side from its own checkout with its own
+src on PYTHONPATH.  The result is kept under the workload's setup_recheck;
+within_bound, claim_met and every bound still come from the pairs alone.
+--from-log makes no recheck.  Standard library only.
 """
 
 import argparse
@@ -33,12 +43,19 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
 CLAIM_RULE = "change wins at least 9 of 10 pairs and the median difference exceeds the parent's interquartile range"
+SETUP_MOVE = 0.10  # a setup_s median that moves by more than this share is rechecked
+SETUP_PROBES = 20  # alternating setup_probe.py runs per side in a recheck
+BLAS_THREADS = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}  # as run.py sets
+# prints a workload's kind and gen.py arguments, run in a checkout's perfbench directory
+READ_SPEC = ("import json, sys, workloads as w; s = w.WORKLOADS[sys.argv[1]]; "
+             "print(json.dumps([s.kind, s.n_train, s.n_test, w.TYPES_PER_TAG, *w.SENTENCE_LEN]))")
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -67,6 +84,65 @@ def run_pairs(checkouts, workloads, seeds, seconds, log):
                     with open(log, "a", encoding="utf-8") as fh:
                         fh.write(json.dumps(record) + "\n")
                 yield record
+
+
+def _python(checkout, *args, cwd=None):
+    """Stdout of one child Python run in checkout (or cwd), its src first on PYTHONPATH."""
+    src = str(Path(checkout).resolve() / "src")
+    env = {**os.environ, **BLAS_THREADS,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, *map(str, args)]
+    proc = subprocess.run(cmd, cwd=cwd or checkout, env=env, capture_output=True, text=True, timeout=900)
+    if proc.returncode:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return proc.stdout
+
+
+def write_corpora(checkout, workload, seed, out_dir):
+    """Write workload's corpora at seed into out_dir with checkout's
+    perfbench/gen.py, sized by the spec in its perfbench/workloads.py;
+    (the seqtag module the workload imports, [train file, test file])."""
+    kind, n_train, n_test, types, min_len, max_len = json.loads(
+        _python(checkout, "-c", READ_SPEC, workload, cwd=Path(checkout) / "perfbench"))
+    _python(checkout, "perfbench/gen.py", out_dir, n_train, n_test, seed, types, min_len, max_len)
+    module = "seqtag.tagger" if kind == "bilstm" else "seqtag.tnt"
+    return module, [str(Path(out_dir) / f"{split}.conllu") for split in ("train", "test")]
+
+
+def probe_once(checkout, module, files):
+    """Seconds of one perfbench/setup_probe.py run in checkout."""
+    return float(_python(checkout, "perfbench/setup_probe.py", module, *files))
+
+
+def setup_recheck(checkouts, workload, seed):
+    """setup_s measured again: SETUP_PROBES alternating setup_probe.py runs
+    per side on the corpora the parent writes for workload at seed."""
+    runs = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="setup-recheck-") as work:
+        module, files = write_corpora(checkouts["parent"], workload, seed, work)
+        for i in range(SETUP_PROBES):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                runs[side].append(probe_once(checkouts[side], module, files))
+    p, c = spread(runs["parent"]), spread(runs["change"])
+    return {
+        "seed": seed,
+        "module": module,
+        "probes": SETUP_PROBES,
+        "parent": p,
+        "change": c,
+        "change_faster": sum(b < a for a, b in zip(runs["parent"], runs["change"])),
+        "change_over_parent": c["median"] / p["median"] if p["median"] else None,
+    }
+
+
+def add_setup_rechecks(workloads, checkouts):
+    """Put a setup_recheck beside each workload summary whose setup_s median
+    moved by more than SETUP_MOVE; the summaries themselves do not change."""
+    for workload, summary in workloads.items():
+        ratio = summary["metrics"]["setup_s"]["change_over_parent"]
+        if ratio is not None and abs(ratio - 1) > SETUP_MOVE:
+            print(f"{workload}: setup_s moved x{ratio:.3f}, rechecking it with setup_probe.py", file=sys.stderr)
+            summary["setup_recheck"] = setup_recheck(checkouts, workload, summary["seeds"][0])
 
 
 def spread(runs):
@@ -205,6 +281,8 @@ def main(argv=None):
             print(f"{record['workload']} seed {record['seed']} {record['side']}: {values}", file=sys.stderr)
     metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
     doc = report(args.label, records, metrics, claim)
+    if not args.from_log:
+        add_setup_rechecks(doc["workloads"], checkouts)
     path = Path(args.out) / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(path)

@@ -492,11 +492,20 @@ def sgd_step(param, grad, lr):
 
 
 def glorot(rng, fan_out, fan_in):
-    """Glorot-uniform matrix of shape (fan_out, fan_in).  Without an rng it
-    is read-only zeros that take no memory, for a model whose weights are
-    about to be loaded."""
+    """Glorot-uniform matrix of shape (fan_out, fan_in).
+
+    The rule of every initialiser here: without an rng a parameter is a
+    read-only zero stand-in that takes no memory, for a model whose
+    weights are about to be loaded.  A dim numpy cannot hold raises
+    ValueError even then."""
     if rng is None:
         return np.broadcast_to(0.0, (fan_out, fan_in))
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     u = rng.uniform_array(fan_out * fan_in)
     return (limit * (2.0 * u - 1.0)).reshape(fan_out, fan_in)
+
+
+def zeros(rng, n):
+    """Zero vector of length n, a bias's initial value; without an rng a
+    read-only stand-in, as in glorot."""
+    return np.zeros(n) if rng is not None else np.broadcast_to(0.0, (n,))

@@ -47,12 +47,13 @@ and against a per-step numpy reference in the test suite.
 
 import numpy as np
 
-from .autodiff import BACKWARD, Parameter, Tensor, affine, concat, glorot, take, wrap
+from .autodiff import BACKWARD, Parameter, Tensor, affine, concat, glorot, take, wrap, zeros
 
 
 class LstmCell:
     """Stacked [i, f, g, o] gate weights of an LSTM, each gate's block
-    initialised on its own; zeros without an rng (see glorot)."""
+    initialised on its own; without an rng every parameter is a read-only
+    zero stand-in (see glorot)."""
 
     def __init__(self, name, input_dim, hidden_dim, rng=None):
         self.name = name
@@ -61,7 +62,7 @@ class LstmCell:
         h, d = hidden_dim, input_dim
         self.W_x = Parameter(f"{name}.W_x", _gates(rng, h, d))
         self.W_h = Parameter(f"{name}.W_h", _gates(rng, h, h))
-        self.b = Parameter(f"{name}.b", np.zeros(4 * h))
+        self.b = Parameter(f"{name}.b", zeros(rng, 4 * h))
 
     def parameters(self):
         return [self.W_x, self.W_h, self.b]

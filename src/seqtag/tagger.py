@@ -23,10 +23,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .autodiff import Parameter, Rng, Tape, add, affine, gaussian_noise, glorot, sgd_step, softmax_xent
+from .autodiff import Parameter, Rng, Tape, add, affine, gaussian_noise, glorot, sgd_step, softmax_xent, zeros
 from .container import ModelError, distinct_strings, header_field, load_container, save_container
 from .recurrent import LstmCell, birnn_ctx
-from .representations import N_BYTE_SYMBOLS, REPR_MODES, TokenEncoder, Vocab, build_vocab, read_embeddings
+from .representations import REPR_MODES, TokenEncoder, Vocab, build_vocab, read_embeddings
 
 log = logging.getLogger(__name__)
 
@@ -109,14 +109,20 @@ def n_bins_of(vocab):
 
 
 class TaggerModel:
-    """Assembled network: encoder, context cells, tag head, optional freq head."""
+    """Assembled network: encoder, context cells, tag head, optional freq head
+    over the vocabulary's frequency bins.
 
-    def __init__(self, hp, vocab, tagset, n_bins, init_rng=None):
+    The one owner of the parameter layout: `train` builds through it with an
+    rng, and `load` without one, so every parameter is then a read-only zero
+    stand-in until the file's block replaces it.
+    """
+
+    def __init__(self, hp, vocab, tagset, init_rng=None):
         self.hp = hp
         self.vocab = vocab
         self.tagset = list(tagset)
         self.tag_index = {t: i for i, t in enumerate(self.tagset)}
-        self.n_bins = n_bins
+        self.n_bins = n_bins_of(vocab)
         self.train_history = []
 
         self.encoder = TokenEncoder(hp.repr_mode, vocab, hp.word_dim, hp.subtoken_dim, hp.hidden_dim, init_rng)
@@ -124,10 +130,10 @@ class TaggerModel:
         self.ctx_r = LstmCell("ctx_r", self.encoder.out_dim, hp.hidden_dim, init_rng)
         two_h = 2 * hp.hidden_dim
         self.tag_W = Parameter("tag_head.W", glorot(init_rng, len(self.tagset), two_h))
-        self.tag_b = Parameter("tag_head.b", np.zeros(len(self.tagset)))
+        self.tag_b = Parameter("tag_head.b", zeros(init_rng, len(self.tagset)))
         if hp.freqbin:
-            self.freq_W = Parameter("freq_head.W", glorot(init_rng, n_bins, two_h))
-            self.freq_b = Parameter("freq_head.b", np.zeros(n_bins))
+            self.freq_W = Parameter("freq_head.W", glorot(init_rng, self.n_bins, two_h))
+            self.freq_b = Parameter("freq_head.b", zeros(init_rng, self.n_bins))
         else:
             self.freq_W = self.freq_b = None
 
@@ -210,12 +216,11 @@ def train(train_corpus, hp, dev_corpus=None):
         raise ValueError("train: empty dev corpus")
     vocab = build_vocab(train_corpus)
     tagset = train_corpus.tagset()
-    n_bins = n_bins_of(vocab)
     pretrained = read_embeddings(hp.pretrained_path) if hp.pretrained_path is not None else {}
     if pretrained:
         hp = replace(hp, word_dim=len(next(iter(pretrained.values()))))
     rng = Rng(hp.seed)
-    model = TaggerModel(hp, vocab, tagset, n_bins, init_rng=rng.child(0))
+    model = TaggerModel(hp, vocab, tagset, init_rng=rng.child(0))
     known = [token for token in pretrained if token in vocab.word_ids]
     for token in known:
         model.encoder.word_table.v[vocab.word_ids[token]] = pretrained[token]
@@ -273,55 +278,43 @@ def save(model, path):
     save_container(path, header, [(p.name, p.v) for p in model.parameters()])
 
 
-def _n_bins(value, vocab):
-    """value, if it is the int n_bins_of(vocab), as train sets it (a bool
-    is not one); ValueError if not."""
-    want = n_bins_of(vocab)
+def _n_bins(value, want):
+    """ValueError unless value is the int want, the bins of the vocabulary
+    as train sets them (a bool is not one)."""
     if type(value) is not int or value != want:
         raise ValueError(f"must be {want}, the bins of the vocabulary's counts, not {value!r}")
-    return value
 
 
 def load(path):
-    """Rebuild a saved model; predictions match the saved model exactly."""
+    """Rebuild a saved model through the constructor `train` uses, as
+    `tnt.load_hmm` does, so a loaded model cannot disagree with itself.
+
+    Built without an rng, every parameter is a zero stand-in that takes no
+    memory, so nothing a hostile header sizes is allocated before the
+    file's blocks are checked against the stand-ins' shapes.  Predictions
+    match the saved model exactly.
+    """
     header, arrays = load_container(path)
     if header.get("kind") != "bilstm":
         raise ModelError(f"{path}: container holds a {header.get('kind')!r} model, not bilstm")
     hp = header_field(path, header, "hp", lambda d: Hyperparams(**d))
     vocab = header_field(path, header, "vocab", Vocab.from_dict)
     tagset = header_field(path, header, "tagset", lambda t: distinct_strings(t, "tagset"))
-    n_bins = header_field(path, header, "n_bins", lambda n: _n_bins(n, vocab))
-    for name, shape in _parameter_shapes(hp, vocab, len(tagset), n_bins):  # before anything is built
-        if name not in arrays:
-            raise ModelError(f"{path}: missing parameter block {name!r}")
-        if arrays[name].shape != shape:
-            raise ModelError(
-                f"{path}: parameter {name!r} has shape {arrays[name].shape}, but 'hp', 'vocab', 'tagset' and "
-                f"'n_bins' give {shape}"
-            )
-    model = TaggerModel(hp, vocab, tagset, n_bins)
+    try:
+        model = TaggerModel(hp, vocab, tagset)
+    except ValueError as e:  # a dim numpy cannot hold, even as a stand-in
+        raise ModelError(f"{path}: bad 'hp' field: {type(e).__name__}: {e}") from e
+    header_field(path, header, "n_bins", lambda n: _n_bins(n, model.n_bins))
     for p in model.parameters():
-        p.v = arrays[p.name]
+        block = arrays.pop(p.name, None)
+        if block is None:
+            raise ModelError(f"{path}: missing parameter block {p.name!r}")
+        if block.shape != p.v.shape:
+            raise ModelError(
+                f"{path}: parameter {p.name!r} has shape {block.shape}, but 'hp', 'vocab', 'tagset' and "
+                f"'n_bins' give {p.v.shape}"
+            )
+        p.v = block
+    if arrays:
+        raise ModelError(f"{path}: unexpected array block {next(iter(arrays))!r}")
     return model
-
-
-def _parameter_shapes(hp, vocab, n_tags, n_bins):
-    """(name, shape) of each parameter of a TaggerModel, in its order,
-    computed on Python ints without building one: a header's dims can be
-    far too large for numpy, and only the file's own blocks bound them."""
-    h, sub = hp.hidden_dim, hp.subtoken_dim
-
-    def cell(name, d):
-        return [(f"{name}.W_x", (4 * h, d)), (f"{name}.W_h", (4 * h, h)), (f"{name}.b", (4 * h,))]
-
-    words = "w" in hp.repr_mode
-    levels = [(lv, n) for lv, n in (("char", vocab.n_chars), ("byte", N_BYTE_SYMBOLS)) if lv[0] in hp.repr_mode]
-    shapes = [("word_emb", (vocab.n_words, hp.word_dim))] if words else []
-    for level, n_symbols in levels:
-        shapes += [(f"{level}_emb", (n_symbols, sub)), *cell(f"{level}_f", sub), *cell(f"{level}_r", sub)]
-    out_dim = (hp.word_dim if words else 0) + 2 * h * len(levels)
-    shapes += [*cell("ctx_f", out_dim), *cell("ctx_r", out_dim)]
-    shapes += [("tag_head.W", (n_tags, 2 * h)), ("tag_head.b", (n_tags,))]
-    if hp.freqbin:
-        shapes += [("freq_head.W", (n_bins, 2 * h)), ("freq_head.b", (n_bins,))]
-    return shapes

@@ -538,8 +538,10 @@ def load_hmm(path):
     if header.get("kind") != "tnt":
         raise ModelError(f"{path}: container holds a {header.get('kind')!r} model, not tnt")
     config = header_field(path, header, "config", lambda c: [c[name] for name in CONFIG])
+    tri, emit = arrays.pop("tri", None), arrays.pop("emit", None)
+    if arrays:
+        raise ModelError(f"{path}: unexpected array block {next(iter(arrays))!r}")
     try:
-        tagset, forms = header.get("tagset"), header.get("forms")
-        return TrigramModel(tagset, arrays.get("tri"), forms, arrays.get("emit"), *config)
+        return TrigramModel(header.get("tagset"), tri, header.get("forms"), emit, *config)
     except ValueError as e:
         raise ModelError(f"{path}: {e}") from e

@@ -21,7 +21,7 @@ import numpy as np
 from seqtag.autodiff import Rng, SparseRows, Tape, sgd_step
 from seqtag.container import MAGIC, ModelError, _manifest, header_field
 from seqtag.representations import build_vocab
-from seqtag.tagger import TaggerModel, n_bins_of, sentence_loss
+from seqtag.tagger import TaggerModel, sentence_loss
 from seqtag.tnt import BOUNDARY, NEG_INF
 
 
@@ -92,7 +92,7 @@ def two_phase_train(train_corpus, hp):
     pretrained file and no dev corpus."""
     vocab = build_vocab(train_corpus)
     rng = Rng(hp.seed)
-    model = TaggerModel(hp, vocab, train_corpus.tagset(), n_bins_of(vocab), init_rng=rng.child(0))
+    model = TaggerModel(hp, vocab, train_corpus.tagset(), init_rng=rng.child(0))
     train_rng, shuffle_rng = rng.child(1), rng.child(2)
     params = model.parameters()
     sentences = train_corpus.sentences

@@ -204,3 +204,42 @@ class TestSetupRecheck:
         doc = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
         assert doc["workloads"]["tnt-200k"]["setup_recheck"]["seed"] == 5
         assert probes[0] == ("gen", Path("P"), "tnt-200k", 5)
+
+
+class TestClaimChecked:
+    """A bad --claim stops the tool before its first run, with a usage error
+    and no BENCH file; it used to fail after every pair had run."""
+
+    @pytest.fixture
+    def argv(self, monkeypatch, tmp_path):
+        def run_once(*args):
+            raise AssertionError("a benchmark ran")
+
+        monkeypatch.setattr(pairs, "run_once", run_once)
+        monkeypatch.setattr(pairs, "_commit", str)
+        records = _records([_line(0.4, 1e3)] * 2, [_line(0.4, 1e3)] * 2)
+        sources = {"run": ["P", "C", "--workload", "tnt-200k"]}
+        for source, lines in (("log", records), ("empty-log", []), ("half-pair-log", records[:1])):
+            log = tmp_path / f"{source}.jsonl"
+            log.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+            sources[source] = ["--from-log", str(log)]
+        return lambda source, claim: [*sources[source], "--label", "t", "--claim", claim, "--out", str(tmp_path)]
+
+    @pytest.mark.parametrize("claim,error", [
+        ("bilstm-wc-freqbin:tag_tok_s", "--claim workload 'bilstm-wc-freqbin' is not among the workloads"),
+        ("tnt-200k:tag_s", "--claim metric 'tag_s' is not an end_to_end metric"),
+        ("tnt-200k", "--claim 'tnt-200k' is not WORKLOAD:METRIC"),
+    ], ids=["workload", "metric", "no-colon"])
+    @pytest.mark.parametrize("source", ["run", "log"])
+    def test_bad_claim_is_a_usage_error(self, argv, tmp_path, capsys, source, claim, error):
+        with pytest.raises(SystemExit) as exit_:
+            pairs.main(argv(source, claim))
+        assert exit_.value.code == 2 and error in capsys.readouterr().err
+        assert not (tmp_path / "BENCH_t.json").exists()
+
+    @pytest.mark.parametrize("source", ["empty-log", "half-pair-log"])
+    def test_claim_on_a_log_without_a_pair_names_the_workload(self, argv, tmp_path, capsys, source):
+        with pytest.raises(SystemExit):
+            pairs.main(argv(source, "tnt-200k:tag_tok_s"))
+        assert "--claim workload 'tnt-200k' is not among the workloads []" in capsys.readouterr().err
+        assert not (tmp_path / "BENCH_t.json").exists()

@@ -477,6 +477,13 @@ class TestPersistence:
             load_hmm(path)
         assert path in str(err.value)
 
+    def test_stray_array_block_is_a_model_error(self, tmp_path):
+        # it used to load, and a save of the loaded model dropped it
+        path = self._rewrite(tmp_path, lambda h, a: a.update(stray=np.zeros(2), other=np.ones(1)))
+        with pytest.raises(ModelError, match="unexpected array block 'stray'") as err:
+            load_hmm(path)
+        assert path in str(err.value)
+
     @pytest.mark.parametrize(
         "edit,field",
         [

@@ -20,10 +20,10 @@ the parent's; and whether the metric stayed within its bound, that is,
 whether its median got worse by no more than the bound (a share of the
 parent's median).  A metric's claim holds when the change wins at least 9
 of 10 pairs (the same share of other counts) and its median is better by
-more than the parent's interquartile range.  Per workload it also says
-whether every run was correct, and lists each run that was not by seed and
-side: a seed that fails on both sides is a fault the two share, not a
-regression.
+more than the parent's interquartile range; --claim is checked before the
+first run.  Per workload it also says whether every run was correct, and
+lists each run that was not by seed and side: a seed that fails on both
+sides is a fault the two share, not a regression.
 
 A fresh process's set-up time drifts from run to run, so when a workload's
 setup_s median moves by more than 10% between the sides, the tool rechecks
@@ -249,6 +249,21 @@ def report(label, records, metrics, claim=None):
     return doc
 
 
+def parse_claim(ap, claim, workloads, metrics):
+    """(workload, metric) of a --claim value, checked before any run: the
+    workload must be one that is run (or has a complete pair in the log),
+    the metric an end-to-end one; ap.error otherwise."""
+    workload, colon, metric = claim.partition(":")
+    if not colon:
+        ap.error(f"--claim {claim!r} is not WORKLOAD:METRIC")
+    if workload not in workloads:
+        ap.error(f"--claim workload {workload!r} is not among the workloads {workloads}")
+    names = [m["name"] for m in metrics]
+    if metric not in names:
+        ap.error(f"--claim metric {metric!r} is not an end_to_end metric of {BENCHMARK.name}: {names}")
+    return workload, metric
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", nargs="?", help="checkout of the parent commit")
@@ -263,14 +278,18 @@ def main(argv=None):
     ap.add_argument("--from-log", help="summarise this JSON-lines file instead of running")
     ap.add_argument("--out", default=".", help="directory of BENCH_<label>.json")
     args = ap.parse_args(argv)
-    claim = tuple(args.claim.split(":", 1)) if args.claim else None
+    metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
 
     if args.from_log:
         with open(args.from_log, encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh if line.strip()]
+        workloads = list(summarise(records, metrics))  # those with a complete pair
     else:
         if not (args.parent and args.change and args.workload):
             ap.error("PARENT, CHANGE and --workload are required unless --from-log is given")
+        workloads = args.workload
+    claim = parse_claim(ap, args.claim, workloads, metrics) if args.claim else None
+    if not args.from_log:
         checkouts = dict(zip(SIDES, map(Path, (args.parent, args.change))))
         seeds = range(args.first_seed, args.first_seed + args.pairs)
         records = []
@@ -279,7 +298,6 @@ def main(argv=None):
             line = record["line"]
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in line["metrics"].items())
             print(f"{record['workload']} seed {record['seed']} {record['side']}: {values}", file=sys.stderr)
-    metrics = json.loads(BENCHMARK.read_text(encoding="utf-8"))["end_to_end"]
     doc = report(args.label, records, metrics, claim)
     if not args.from_log:
         add_setup_rechecks(doc["workloads"], checkouts)

@@ -1,13 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The engine is deliberately small: a flat operation tape and exactly the
-node kinds the taggers record.  Besides parameter leaves there are seven:
+node kinds the taggers record.  Besides parameter leaves there are six:
 
   add       elementwise sum (the joint loss, and x plus a constant noise draw)
   affine    x W^T + b (the heads and the LSTM input projections)
   concat    join along the last axis (word o char o byte, forward o reverse)
-  take      copy of x[index] (final states of the subword bi-LSTMs)
-  lookup    embedding-table rows, with a sparse row gradient
+  take      copy of x[index] (embedding-table rows, final subword states)
   xent      summed softmax cross-entropy, one gold class per row
   lstm_seq  an LSTM recurrence over rows of a projected input (recurrent.py)
 
@@ -16,9 +15,11 @@ sentence records a few nodes, not a few per token.  Everything runs in
 64-bit floats so gradient checks are limited by truncation error, not
 precision.
 
-Gradients for a table parameter accessed through ``lookup_row`` are kept as
-sparse per-row updates (see :class:`SparseRows`); all other gradients are
-dense arrays of the parameter's shape.
+A gather gives a parameter rows and anything else a dense scatter: the
+gradient a `take` sends to a parameter's leaf is a :class:`SparseRows` of
+the row ids it read, and to any other node a dense array.  A parameter
+that is gathered is read only by gathers (the word, char and byte tables
+are); every other parameter's gradient is a dense array of its shape.
 
 Buffer lifetime.  The reverse sweep frees each non-leaf node's value, aux
 and gradient as soon as its rule has run: every node that reads them comes
@@ -162,27 +163,23 @@ class Parameter:
 
 
 class SparseRows:
-    """Row-indexed gradient accumulator for embedding tables."""
+    """A table parameter's gradient: the (row ids, rows) pairs its gathers
+    sent, where rows[k] is the gradient of row ids[k]; ids may repeat."""
 
-    __slots__ = ("shape", "rows")
+    __slots__ = ("shape", "pairs")
 
     def __init__(self, shape):
         self.shape = shape
-        self.rows = {}
+        self.pairs = []
 
-    def add(self, i, g):
-        if i in self.rows:
-            self.rows[i] += g
-        else:
-            self.rows[i] = g.copy()
-
-    def add_rows(self, ids, g):
-        """Add g[k] to row ids[k] for every k; ids may repeat."""
-        uniq, inv = np.unique(ids, return_inverse=True)
-        summed = np.zeros((len(uniq), self.shape[1]))
-        np.add.at(summed, inv.reshape(-1), g.reshape(-1, self.shape[1]))
-        for i, row in zip(uniq.tolist(), summed):
-            self.add(i, row)
+    def summed(self):
+        """(ids, rows): the distinct row ids, ascending, and each one's summed
+        gradient, one row per id."""
+        width = self.shape[1:]
+        uniq, inv = np.unique(np.concatenate([ids.reshape(-1) for ids, _ in self.pairs]), return_inverse=True)
+        rows = np.zeros((len(uniq),) + width)
+        np.add.at(rows, inv.reshape(-1), np.concatenate([g.reshape((-1,) + width) for _, g in self.pairs]))
+        return uniq, rows
 
 
 # kind -> fn(tape, node_index, incoming_grad); extended by recurrent.py
@@ -274,7 +271,7 @@ class Tape:
             self.grads[node] += a @ b
 
     def sbuf(self, node):
-        """Sparse row-gradient buffer for a table leaf."""
+        """SparseRows gradient of a table leaf, empty on first use."""
         g = self.grads[node]
         if g is None:
             g = SparseRows(self.values[node].shape)
@@ -380,8 +377,22 @@ def _bw_concat(tape, i, g):
 
 
 def take(tape, x, index):
-    """x[index] as a copy; the gradient scatters back (repeats accumulate)."""
+    """x[index] as a copy.
+
+    A parameter (a Parameter, or its leaf on the tape) is a table: index
+    must then hold integer row ids inside it, else IndexError, with a tape
+    or without one, and its gradient is SparseRows.  Any other x takes any
+    numpy index and gets a dense gradient, scattered back (repeats
+    accumulate)."""
+    table = isinstance(x, Parameter) or (
+        tape is not None and isinstance(x, Tensor) and x.node is not None and tape.kinds[x.node] == "leaf"
+    )
     x = wrap(tape, x)
+    if table:
+        index = np.asarray(index)
+        n = len(x.v)
+        if index.dtype.kind not in "iu" or (index.size and not (0 <= index.min() and index.max() < n)):
+            raise IndexError(f"take: row ids {index.tolist()} are not integers in a table of {n} rows")
     out = np.array(x.v[index])
     if tape is None:
         return Tensor(out)
@@ -390,28 +401,12 @@ def take(tape, x, index):
 
 def _bw_take(tape, i, g):
     parent = tape.parents[i][0]
-    if parent is not None:
+    if parent is None:
+        return
+    if tape.kinds[parent] == "leaf":
+        tape.sbuf(parent).pairs.append((tape.aux[i], g))
+    else:
         np.add.at(tape.gbuf(parent), tape.aux[i], g)
-
-
-def lookup_row(tape, table, i):
-    """Row i of an embedding table, or the rows of an integer array i (one
-    output row per id, in i's shape); the gradient is a sparse row update."""
-    table = wrap(tape, table)
-    tv = table.v
-    ids = np.asarray(i)
-    if ids.size and not (0 <= ids.min() and ids.max() < tv.shape[0]):
-        raise IndexError(f"lookup_row: row {i} outside table of {tv.shape[0]}")
-    out = tv[i].copy()
-    if tape is None:
-        return Tensor(out)
-    return tape.record("lookup", (table.node,), out, ids)
-
-
-def _bw_lookup(tape, i, g):
-    parent = tape.parents[i][0]
-    if parent is not None:
-        tape.sbuf(parent).add_rows(tape.aux[i], g)
 
 
 def softmax_xent(tape, logits, gold):
@@ -468,7 +463,6 @@ BACKWARD.update(
         "affine": _bw_affine,
         "concat": _bw_concat,
         "take": _bw_take,
-        "lookup": _bw_lookup,
         "xent": _bw_xent,
     }
 )
@@ -481,11 +475,12 @@ def sgd_step(param, grad, lr):
     """param <- param - lr * grad, for a dense gradient or SparseRows.
 
     A dense gradient is scaled by lr in place, so the update allocates no
-    temporary of the parameter's size.
+    temporary of the parameter's size; SparseRows updates its summed rows
+    in one indexed subtraction and leaves every other row as it is.
     """
     if isinstance(grad, SparseRows):
-        for row, vec in grad.rows.items():
-            param.v[row] -= lr * vec
+        ids, rows = grad.summed()
+        param.v[ids] -= lr * rows
     else:
         grad *= lr
         param.v -= grad

@@ -63,8 +63,8 @@ class Sentence:
             except TypeError:
                 k = next(k for k, x in enumerate(items) if not isinstance(x, str))
                 raise DataError(f"{where}: {name} {k} is {items[k]!r}, not a string") from None
-        if "" in self.forms:
-            raise DataError(f"{where}: form {self.forms.index('')} is empty")
+            if "" in items:
+                raise DataError(f"{where}: {name} {items.index('')} is empty")
 
     def __len__(self):
         return len(self.forms)
@@ -165,7 +165,8 @@ def _fault(text):
 
 def _check_writable(corpus):
     """ValueError naming the first form or tag that would not read back: an
-    empty tag, or text that _fault rejects."""
+    empty tag (a Sentence rejects one, but its tags may change after), or
+    text that _fault rejects."""
     for i, sent in enumerate(corpus):
         if "" in sent.tags:
             raise ValueError(f"sentence {i}: tag {sent.tags.index('')} is empty")

@@ -36,7 +36,7 @@ from collections import Counter
 
 import numpy as np
 
-from .autodiff import Parameter, concat, glorot, lookup_row, take
+from .autodiff import Parameter, concat, glorot, take
 from .container import distinct_strings
 from .corpus import DataError, check_tokens, not_utf8, open_text
 from .recurrent import LstmCell, birnn_seq
@@ -188,7 +188,7 @@ class TokenEncoder:
         parts = []
         if self.word_table is not None:
             ids = [0 if replace_unk and replace_unk[k] else self.vocab.word_id(w) for k, w in enumerate(words)]
-            parts.append(lookup_row(tape, self.word_table, np.array(ids)))
+            parts.append(take(tape, self.word_table, np.array(ids)))
         parts += [sw.encode(words, tape) for sw in self.subwords]
         return parts[0] if len(parts) == 1 else concat(tape, parts)
 

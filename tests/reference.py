@@ -81,8 +81,8 @@ def collect(grads):
 def to_dense(rows):
     """The dense array of a SparseRows gradient."""
     out = np.zeros(rows.shape)
-    for i, g in rows.rows.items():
-        out[i] += g
+    ids, summed = rows.summed()
+    out[ids] = summed
     return out
 
 

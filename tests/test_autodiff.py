@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqtag.autodiff import (
     BACKWARD,
@@ -17,7 +19,6 @@ from seqtag.autodiff import (
     concat,
     gaussian_noise,
     glorot,
-    lookup_row,
     sgd_step,
     softmax_xent,
     take,
@@ -49,9 +50,9 @@ class TestPrimitiveForward:
 
     def test_lookup_row(self):
         table = Parameter("t", np.arange(6.0).reshape(3, 2))
-        np.testing.assert_array_equal(lookup_row(None, table, 1).v, [2.0, 3.0])
+        np.testing.assert_array_equal(take(None, table, 1).v, [2.0, 3.0])
         with pytest.raises(IndexError):
-            lookup_row(None, table, 3)
+            take(None, table, 3)
 
     def test_gaussian_noise_training_only_shift(self):
         x = np.ones(5)
@@ -64,14 +65,14 @@ class TestPrimitiveForward:
 
 class TestBackward:
     def test_square_gradient(self):
-        # loss = x*x with x=[[3]], as W x with W and x the same leaf:
-        # both paths reach x, so dloss/dx = 3 + 3 = 6
+        # loss = x*x with x=[[3]], as x W^T with W and x the same leaf:
+        # both dense reads reach x, so dloss/dx = 3 + 3 = 6
         grads = {}
         tape = Tape(collect(grads))
         x = Parameter("x", np.array([[3.0]]))
         xt = tape.leaf(x)
-        loss = affine(tape, xt, take(tape, xt, 0), np.zeros(1))
-        assert float(loss.v[0]) == 9.0
+        loss = affine(tape, xt, xt, np.zeros(1))
+        assert loss.v.item() == 9.0
         tape.backward(loss)
         np.testing.assert_allclose(grads[x], [[6.0]])
 
@@ -99,15 +100,15 @@ class TestBackward:
         grads = {}
         tape = Tape(collect(grads))
         table = Parameter("emb", np.zeros((4, 3)))
-        r1 = lookup_row(tape, table, 1)
-        r1b = lookup_row(tape, table, 1)
-        r2 = lookup_row(tape, table, 2)
+        r1 = take(tape, table, 1)
+        r1b = take(tape, table, 1)
+        r2 = take(tape, table, 2)
         v = concat(tape, [r1, r1b, r2])
         loss = softmax_xent(tape, v, 0)
         tape.backward(loss)
         g = grads[table]
         assert isinstance(g, SparseRows)
-        assert set(g.rows) == {1, 2}
+        assert g.summed()[0].tolist() == [1, 2]
         dense = to_dense(g)
         assert dense.shape == (4, 3)
         assert np.all(dense[0] == 0) and np.all(dense[3] == 0)
@@ -116,12 +117,12 @@ class TestBackward:
         grads = {}
         tape = Tape(collect(grads))
         table = Parameter("emb", np.zeros((4, 2)))
-        rows = lookup_row(tape, table, [2, 0, 2])
+        rows = take(tape, table, [2, 0, 2])
         assert rows.v.shape == (3, 2)
         loss = softmax_xent(tape, rows, [0, 1, 0])
         tape.backward(loss)
         g = grads[table]
-        assert set(g.rows) == {0, 2}
+        assert g.summed()[0].tolist() == [0, 2]
         np.testing.assert_allclose(to_dense(g)[2], [-1.0, 1.0])
         np.testing.assert_allclose(to_dense(g)[0], [0.5, -0.5])
 
@@ -205,7 +206,7 @@ class TestSgd:
     def test_sparse_update_touches_only_rows(self):
         p = Parameter("emb", np.ones((3, 2)))
         g = SparseRows((3, 2))
-        g.add(1, np.array([1.0, 2.0]))
+        g.pairs.append((np.array([1]), np.array([[1.0, 2.0]])))
         sgd_step(p, g, 0.5)
         np.testing.assert_allclose(p.v[0], [1.0, 1.0])
         np.testing.assert_allclose(p.v[1], [0.5, 0.0])
@@ -217,6 +218,63 @@ class TestSgd:
         want = p.v - 0.3 * g
         sgd_step(p, g.copy(), 0.3)
         np.testing.assert_array_equal(p.v, want)
+
+
+# row ids that take must reject for a table of 6 rows
+_BAD_ROW_IDS = st.one_of(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(lambda ids: min(ids) < 0 or max(ids) > 5),
+    st.lists(st.booleans(), min_size=1, max_size=3),
+    st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3),
+)
+
+
+class TestTableTake:
+    """Several takes of one parameter table on one tape: the SparseRows
+    gradient against the dense scatter, and the row-id check."""
+
+    @staticmethod
+    def _gradient(table, gathers, dense):
+        """The table's gradient of a sum of one cross-entropy per take.  With
+        dense the takes read table + 0, which is not a parameter, so their
+        gradient is the dense np.add.at scatter, handed on to the table."""
+        grads = {}
+        tape = Tape(collect(grads))
+        src = add(tape, table, np.zeros(table.v.shape)) if dense else table
+        loss = None
+        for ids in gathers:
+            part = softmax_xent(tape, take(tape, src, ids), [k % 3 for k in range(len(ids))])
+            loss = part if loss is None else add(tape, loss, part)
+        tape.backward(loss)
+        return grads[table]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gathers=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=6), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32),
+        lr=st.floats(0.01, 1.0),
+    )
+    def test_summed_rows_are_the_dense_scatter_and_sgd_touches_only_them(self, gathers, seed, lr):
+        table = Parameter("emb", Rng(seed).normal((8, 3)))  # rows 6 and 7 are never read
+        sparse = self._gradient(table, gathers, dense=False)
+        dense = self._gradient(table, gathers, dense=True)
+        assert isinstance(sparse, SparseRows) and isinstance(dense, np.ndarray)
+        ids, rows = sparse.summed()
+        assert ids.tolist() == sorted({i for g in gathers for i in g})
+        np.testing.assert_array_equal(rows, dense[ids])
+        unread = np.setdiff1d(np.arange(8), ids)
+        assert not dense[unread].any()
+        before, want = table.v.copy(), table.v - lr * dense
+        sgd_step(table, sparse, lr)
+        np.testing.assert_array_equal(table.v, want)
+        np.testing.assert_array_equal(table.v[unread], before[unread])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=_BAD_ROW_IDS, how=st.sampled_from(["parameter", "taped parameter", "leaf"]))
+    def test_negative_outside_bool_or_float_row_ids_raise(self, ids, how):
+        table = Parameter("emb", np.zeros((6, 3)))
+        tape = None if how == "parameter" else Tape()
+        with pytest.raises(IndexError, match="^take: row ids"):
+            take(tape, tape.leaf(table) if how == "leaf" else table, ids)
 
 
 class TestTapeLifetime:
@@ -232,7 +290,7 @@ class TestTapeLifetime:
     @staticmethod
     def _loss(tape, params, cell, ids):
         emb, _, _, _, w, b = params
-        x = gaussian_noise(tape, lookup_row(tape, emb, ids), 0.1, Rng(2))
+        x = gaussian_noise(tape, take(tape, emb, ids), 0.1, Rng(2))
         h = rnn_seq(cell, x, np.arange(len(ids)), tape=tape)
         return softmax_xent(tape, affine(tape, w, h, b), [k % 2 for k in range(len(ids))])
 
@@ -306,7 +364,7 @@ class TestGradientCheck:
         assert gradient_check(loss_fn, [w], h=1e-5) < 1e-10
 
     def test_composite_graph(self):
-        # lookup + concat + add + noise + affine + LSTM, against central differences
+        # table take + concat + add + noise + affine + LSTM, against central differences
         rng = Rng(23)
         emb = Parameter("emb", glorot(rng, 5, 3))
         w = Parameter("w", glorot(rng, 4, 6))
@@ -317,7 +375,7 @@ class TestGradientCheck:
             e = emb if tape is None else tape.leaf(emb)
             wt = w if tape is None else tape.leaf(w)
             bt = b if tape is None else tape.leaf(b)
-            r = lookup_row(tape, e, [0, 3])
+            r = take(tape, e, [0, 3])
             both = concat(tape, [r, add(tape, r, r)])
             x = gaussian_noise(tape, both, 0.1, Rng(5))  # a fresh stream: the same noise every call
             h = rnn_seq(cell, affine(tape, wt, x, bt), [0, 1], tape=tape)
@@ -344,12 +402,15 @@ def _one_rule_losses():
         states = rnn_seq(lstm, batch, np.arange(6).reshape(2, 3), [3, 1], False, tape)
         return softmax_xent(tape, take(tape, states, (np.arange(2), np.array([2, 0]))), [1, 0])
 
+    def take_loss(tape):  # both gradients: rows of the table emb, a dense scatter into a + b
+        gathered = add(tape, take(tape, emb, [4, 1, 4]), take(tape, add(tape, a, b), [1, 0, 1]))
+        return softmax_xent(tape, gathered, [0, 2, 1])
+
     return {
         "add": (lambda tape: softmax_xent(tape, add(tape, a, b), gold), [a, b]),
         "affine": (lambda tape: softmax_xent(tape, affine(tape, w, a, bias), gold), [w, a, bias]),
         "concat": (lambda tape: softmax_xent(tape, concat(tape, [c, a]), [6, 1]), [c, a]),
-        "take": (lambda tape: softmax_xent(tape, take(tape, a, [1, 0, 1]), [0, 2, 1]), [a]),
-        "lookup": (lambda tape: softmax_xent(tape, lookup_row(tape, emb, [4, 1, 4]), [0, 1, 2]), [emb]),
+        "take": (take_loss, [emb, a, b]),
         "xent": (lambda tape: softmax_xent(tape, a, gold), [a]),
         "lstm_seq": (lstm_loss, lstm.parameters() + [batch]),
     }

@@ -207,8 +207,9 @@ class TestSetupRecheck:
 
 
 class TestClaimChecked:
-    """A bad --claim stops the tool before its first run, with a usage error
-    and no BENCH file; it used to fail after every pair had run."""
+    """A bad --claim, or --pairs below 1, stops the tool before its first
+    run, with a usage error and no BENCH file; a bad claim used to fail
+    after every pair had run."""
 
     @pytest.fixture
     def argv(self, monkeypatch, tmp_path):
@@ -242,4 +243,14 @@ class TestClaimChecked:
         with pytest.raises(SystemExit):
             pairs.main(argv(source, "tnt-200k:tag_tok_s"))
         assert "--claim workload 'tnt-200k' is not among the workloads []" in capsys.readouterr().err
+        assert not (tmp_path / "BENCH_t.json").exists()
+
+    @pytest.mark.parametrize("claim", [["--claim", "tnt-200k:train_tok_s"], []], ids=["claim", "no-claim"])
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_fewer_than_one_pair_is_a_usage_error(self, argv, tmp_path, capsys, claim, count):
+        # --pairs 0 used to end in a bare KeyError, or write a BENCH file of no workload
+        with pytest.raises(SystemExit) as exit_:
+            pairs.main(["P", "C", "--workload", "tnt-200k", "--label", "t", "--pairs", count, *claim,
+                        "--out", str(tmp_path)])
+        assert exit_.value.code == 2 and f"--pairs {count} runs nothing" in capsys.readouterr().err
         assert not (tmp_path / "BENCH_t.json").exists()

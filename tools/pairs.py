@@ -287,6 +287,8 @@ def main(argv=None):
     else:
         if not (args.parent and args.change and args.workload):
             ap.error("PARENT, CHANGE and --workload are required unless --from-log is given")
+        if args.pairs < 1:
+            ap.error(f"--pairs {args.pairs} runs nothing: give at least 1")
         workloads = args.workload
     claim = parse_claim(ap, args.claim, workloads, metrics) if args.claim else None
     if not args.from_log:

@@ -12,10 +12,17 @@ held for a whole run, so a read sentence is slotted (no per-instance
 __dict__) and its forms and tags lists are exact-size copies of the
 reader's two reused buffers, with none of the spare slots that append
 leaves.
+
+A sentence does not know where it came from.  A read corpus keeps its path
+and one integer array of every sentence's first and last line, 16 bytes a
+sentence, and Corpus.source(i) builds the "path:first-last" label only
+when it is asked for.  subsample and corrupt_labels carry the lines of the
+sentences they keep.
 """
 
 import logging
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -49,22 +56,24 @@ def check_tokens(tokens):
 
 @dataclass(slots=True)
 class Sentence:
+    """Equal-length forms and tags, each a non-empty string; DataError
+    naming the position otherwise.  Where it was read from is its
+    corpus's to say (Corpus.source)."""
+
     forms: list
     tags: list
-    source: str = field(default="", compare=False)
 
     def __post_init__(self):
-        where = self.source or "sentence"
         if len(self.forms) != len(self.tags) or not self.forms:
-            raise DataError(f"{where}: {len(self.forms)} forms vs {len(self.tags)} tags")
+            raise DataError(f"sentence: {len(self.forms)} forms vs {len(self.tags)} tags")
         for name, items in (("form", self.forms), ("tag", self.tags)):
             try:
                 "".join(items)  # in C: quicker than a per-token isinstance
             except TypeError:
                 k = next(k for k, x in enumerate(items) if not isinstance(x, str))
-                raise DataError(f"{where}: {name} {k} is {items[k]!r}, not a string") from None
+                raise DataError(f"sentence: {name} {k} is {items[k]!r}, not a string") from None
             if "" in items:
-                raise DataError(f"{where}: {name} {items.index('')} is empty")
+                raise DataError(f"sentence: {name} {items.index('')} is empty")
 
     def __len__(self):
         return len(self.forms)
@@ -72,9 +81,35 @@ class Sentence:
 
 @dataclass
 class Corpus:
+    """Sentences, and for a read corpus where they were read: the file's
+    path, and lines, an array('q') holding sentence i's first and last line
+    numbers at 2i and 2i + 1 (None for a corpus built in code).  Only the
+    sentences take part in equality."""
+
     sentences: list
     split: str = field(default="train", compare=False)
     language: str = field(default="", compare=False)
+    path: str = field(default="", compare=False)
+    lines: array = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.lines is not None and len(self.lines) != 2 * len(self.sentences):
+            raise ValueError(f"{len(self.lines)} line numbers for {len(self.sentences)} sentences")
+
+    def source(self, i):
+        """Where sentence i came from: "path:first-last" for a read corpus,
+        "sentence i" for one built in code."""
+        if not 0 <= i < len(self.sentences):
+            raise IndexError(f"sentence {i} of {len(self.sentences)}")
+        if self.lines is None:
+            return f"sentence {i}"
+        return f"{self.path}:{self.lines[2 * i]}-{self.lines[2 * i + 1]}"
+
+    def _kept(self, sentences, keep):
+        """A corpus of sentences, which stand for this corpus's sentences at
+        the indices keep, with their line numbers."""
+        lines = None if self.lines is None else array("q", (self.lines[2 * i + j] for i in keep for j in (0, 1)))
+        return Corpus(sentences, self.split, self.language, self.path, lines)
 
     def __len__(self):
         return len(self.sentences)
@@ -117,8 +152,10 @@ def read_conllu(path, split="train", language=""):
 
     One token per line in 10 tab-separated columns, a blank line after each
     sentence.  Comment lines, multiword-token ranges and empty nodes are
-    skipped.  Equal forms and equal tags are one shared string object."""
-    sentences, forms, tags = [], [], []
+    skipped.  Equal forms and equal tags are one shared string object.  The
+    corpus keeps path and each sentence's first and last token line, which
+    Corpus.source names."""
+    sentences, forms, tags, lines = [], [], [], array("q")
     shared = {}.setdefault  # one string object per distinct form or tag of this file
     with open_text(path) as fh:
         try:
@@ -127,7 +164,9 @@ def read_conllu(path, split="train", language=""):
                 line = raw.rstrip("\n").rstrip("\r")
                 if not line:
                     if forms:  # exact-size copies: a list grown by append has spare slots
-                        sentences.append(Sentence(forms[:], tags[:], f"{path}:{start_line}-{lineno - 1}"))
+                        sentences.append(Sentence(forms[:], tags[:]))
+                        lines.append(start_line)
+                        lines.append(lineno - 1)
                         forms.clear()
                         tags.clear()
                     continue
@@ -149,7 +188,7 @@ def read_conllu(path, split="train", language=""):
                 tags.append(shared(tag, tag))
         except UnicodeDecodeError:
             raise not_utf8(path) from None
-    return Corpus(sentences, split, language)
+    return Corpus(sentences, split, language, path, lines)
 
 
 def _fault(text):
@@ -192,8 +231,8 @@ def corrupt_labels(corpus, rate, rng):
     """Replace each gold tag, independently with probability `rate`, by a
     uniformly drawn *different* tag from the corpus tagset.
 
-    Forms, sentence count and lengths are untouched.  Returns the corrupted
-    corpus and the realized corruption count.
+    Forms, sentence count, lengths and line numbers are untouched.  Returns
+    the corrupted corpus and the realized corruption count.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"corruption rate {rate} outside [0, 1]")
@@ -209,19 +248,20 @@ def corrupt_labels(corpus, rate, rng):
                 others = [t for t in tagset if t != tag]
                 tags[i] = others[rng.below(len(others))]
                 corrupted += 1
-        sentences.append(Sentence(list(sent.forms), tags, sent.source))
-    return Corpus(sentences, corpus.split, corpus.language), corrupted
+        sentences.append(Sentence(list(sent.forms), tags))
+    return corpus._kept(sentences, range(len(sentences))), corrupted
 
 
 def subsample(corpus, n_sentences, rng):
-    """Uniform sample of n sentences without replacement, original order kept."""
+    """Uniform sample of n sentences without replacement, original order
+    and line numbers kept."""
     n = len(corpus.sentences)
     if not 1 <= n_sentences <= n:
         raise ValueError(f"subsample size {n_sentences} outside [1, {n}]")
     idx = list(range(n))
     rng.shuffle(idx)
     keep = sorted(idx[:n_sentences])
-    return Corpus([corpus.sentences[i] for i in keep], corpus.split, corpus.language)
+    return corpus._kept([corpus.sentences[i] for i in keep], keep)
 
 
 def stats(corpus):

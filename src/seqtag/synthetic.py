@@ -92,9 +92,9 @@ def _zipf_samplers(lexicon, keep=None):
     return out
 
 
-def _sentences(rng, samplers, n, min_len, max_len, source):
+def _sentences(rng, samplers, n, min_len, max_len):
     out = []
-    for k in range(n):
+    for _ in range(n):
         length = min_len + rng.below(max_len - min_len + 1)
         tags, forms = [], []
         tag = _pick(_START, rng)
@@ -102,7 +102,7 @@ def _sentences(rng, samplers, n, min_len, max_len, source):
             forms.append(_draw(*samplers[tag], rng))
             tags.append(tag)
             tag = _pick(_TRANS[tag], rng)
-        out.append(Sentence(forms, tags, f"{source}:{k}"))
+        out.append(Sentence(forms, tags))
     return out
 
 
@@ -128,14 +128,14 @@ def make_suffix_corpus(
     rng = Rng(seed)
     lexicon = _make_lexicon(rng.child(0), types_per_tag)
     full = _zipf_samplers(lexicon)
-    train_sents = _sentences(rng.child(1), full, n_train, min_len, max_len, "synth-train")
+    train_sents = _sentences(rng.child(1), full, n_train, min_len, max_len)
 
     train_vocab = {f for s in train_sents for f in s.forms}
     seen = _zipf_samplers(lexicon, train_vocab)
     test_samplers = {t: seen[t] if seen[t][0] else full[t] for t in _TAGS}
 
     test_rng = rng.child(2)
-    test_sents = _sentences(test_rng, test_samplers, n_test, min_len, max_len, "synth-test")
+    test_sents = _sentences(test_rng, test_samplers, n_test, min_len, max_len)
 
     open_positions = [
         (i, j)

@@ -35,14 +35,17 @@ UNK_REPLACE_PROB = 0.25
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training loss became non-finite; source is where the sentence came
+    from (Corpus.source), named after its index when it says more."""
 
-    def __init__(self, epoch, sentence_index):
-        super().__init__(
-            f"non-finite loss at epoch {epoch + 1}, sentence {sentence_index}"
-        )
+    def __init__(self, epoch, sentence_index, source):
+        where = f"sentence {sentence_index}"
+        if source != where:
+            where += f" ({source})"
+        super().__init__(f"non-finite loss at epoch {epoch + 1}, {where}")
         self.epoch = epoch
         self.sentence_index = sentence_index
+        self.source = source
 
 
 def _finite(value):
@@ -206,9 +209,10 @@ def train(train_corpus, hp, dev_corpus=None):
     all of them after the sweep; a trainable parameter that got no
     gradient raises ValueError naming it.  A pretrained embedding file
     sets the word width, and its rows for training words replace their
-    initial rows.  Aborts with DivergenceError if the loss goes
-    non-finite.  Per-epoch mean loss (and dev accuracy, when a dev corpus
-    is given) is logged and kept in model.train_history.
+    initial rows.  Aborts with DivergenceError, naming the sentence and
+    its file lines, if the loss goes non-finite.  Per-epoch mean loss (and
+    dev accuracy, when a dev corpus is given) is logged and kept in
+    model.train_history.
     """
     if not train_corpus.sentences:
         raise ValueError("train: empty corpus")
@@ -246,7 +250,7 @@ def train(train_corpus, hp, dev_corpus=None):
             loss = sentence_loss(model, sentences[idx], tape, train_rng)
             value = float(loss.v)
             if not math.isfinite(value):
-                raise DivergenceError(epoch, idx)
+                raise DivergenceError(epoch, idx, train_corpus.source(idx))
             updated.clear()
             tape.backward(loss)
             missing = [p.name for p in params if p not in updated]

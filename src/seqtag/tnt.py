@@ -215,15 +215,30 @@ def _suffix_depths(forms, counts, max_len, first_row):
 
 
 def _counts(name, a, shape):
-    """a as an int64 array of counts of the given shape; ValueError naming it otherwise."""
+    """a as an int64 array of counts of the given shape; ValueError naming it
+    otherwise.  An int64 array is returned itself, not copied, and only a
+    non-integer one pays for an np.floor temporary to find fractions."""
     if a is None:
         raise ValueError(f"no {name!r} array block")
     a = np.asarray(a)
     if a.shape != shape:
         raise ValueError(f"{name!r} has shape {list(a.shape)}, expected {list(shape)}")
-    if not np.all((a >= 0) & (a < 2**53) & (a == np.floor(a))):
+    whole = (a >= 0) & (a < 2**53)
+    if a.dtype.kind not in "iu":
+        whole &= a == np.floor(a)
+    if not whole.all():
         raise ValueError(f"{name!r} holds a negative, non-integer or huge count")
-    return a.astype(np.int64)
+    return a.astype(np.int64, copy=False)
+
+
+def _int64_block(a):
+    """A file's float64 count block as int64 when every entry is a whole
+    number in [0, 2**53), so that the float block can be freed; otherwise
+    (or None) a itself, for _counts to name the fault."""
+    if a is None or not np.all((a >= 0) & (a < 2**53)):
+        return a
+    ints = a.astype(np.int64)  # exact below 2**53, so equal exactly when a is whole
+    return ints if np.array_equal(ints, a) else a
 
 
 def _number(x, kinds):
@@ -533,12 +548,17 @@ def save_hmm(model, path):
 
 
 def load_hmm(path):
-    """Rebuild a saved model through the constructor `train_hmm` uses."""
+    """Rebuild a saved model through the constructor `train_hmm` uses.
+
+    The file's float64 count blocks are handed over as int64 copies, and
+    each float block is dropped once its copy is made, so none is alive
+    while the suffix tries are built.  A block that holds a fault goes to
+    the constructor as read, which names it as it names any other."""
     header, arrays = load_container(path)
     if header.get("kind") != "tnt":
         raise ModelError(f"{path}: container holds a {header.get('kind')!r} model, not tnt")
     config = header_field(path, header, "config", lambda c: [c[name] for name in CONFIG])
-    tri, emit = arrays.pop("tri", None), arrays.pop("emit", None)
+    tri, emit = (_int64_block(arrays.pop(name, None)) for name in ("tri", "emit"))
     if arrays:
         raise ModelError(f"{path}: unexpected array block {next(iter(arrays))!r}")
     try:

@@ -1,9 +1,12 @@
 """CoNLL-U ingestion, corruption, subsampling, statistics."""
 
+import gc
 import math
 import re
 import struct
 import sys
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from seqtag.corpus import (
     subsample,
     write_conllu,
 )
+from seqtag.synthetic import make_suffix_corpus
 
 WELL_FORMED = """\
 # sent_id = 1
@@ -108,8 +112,50 @@ def test_sources_name_first_and_last_line(tmp_path, reader, text, first):
     # newline; the comment line starts no sentence
     p = tmp_path / "s.txt"
     p.write_text(text, encoding="utf-8")
-    sources = [s.source for s in reader(str(p))]
+    corpus = reader(str(p))
+    sources = [corpus.source(i) for i in range(len(corpus))]
     assert sources == [f"{p}:{first}-3", f"{p}:5-6"]
+
+
+class TestSource:
+    def test_a_built_corpus_names_the_index(self):
+        corpus = Corpus([Sentence(["a"], ["X"]), Sentence(["b"], ["Y"])])
+        assert [corpus.source(i) for i in range(2)] == ["sentence 0", "sentence 1"]
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_an_index_outside_the_corpus_raises(self, tmp_path, i):
+        p = tmp_path / "a.conllu"
+        p.write_text(WELL_FORMED, encoding="utf-8")
+        for corpus in (read_conllu(str(p)), Corpus(read_conllu(str(p)).sentences)):
+            with pytest.raises(IndexError, match=f"sentence {i} of 2"):
+                corpus.source(i)
+
+    def test_line_numbers_must_match_the_sentences(self):
+        with pytest.raises(ValueError, match="2 line numbers for 2 sentences"):
+            Corpus([Sentence(["a"], ["X"]), Sentence(["b"], ["Y"])], lines=array("q", [1, 1]))
+
+    def test_lines_take_no_part_in_equality(self, tmp_path):
+        p = tmp_path / "a.conllu"
+        p.write_text(WELL_FORMED, encoding="utf-8")
+        read = read_conllu(str(p))
+        assert read == Corpus(read.sentences) and read.lines == array("q", [2, 3, 5, 6])
+
+    def test_read_sentences_keep_few_bytes_each(self, tmp_path):
+        # a per-sentence "path:first-last" string cost about len(path) bytes
+        # a sentence; the corpus keeps 16 bytes of line numbers instead
+        deep = tmp_path.joinpath(*["a-deeply-nested-directory"] * 8)
+        deep.mkdir(parents=True)
+        path = deep / "train.conllu"
+        assert len(str(path)) > 200
+        write_conllu(make_suffix_corpus(2000, 1, seed=3)[0], str(path))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            corpus = read_conllu(str(path))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 2000 and kept / len(corpus) < 400
 
 
 class TestSentence:
@@ -123,14 +169,14 @@ class TestSentence:
             (["a", "b"], ["", "X"], "tag 0 is empty"),  # a bi-LSTM trained on it saved a file its load rejected
         ],
     )
-    @pytest.mark.parametrize("source,where", [("built.conllu:3-4", "built.conllu:3-4"), ("", "sentence")])
-    def test_bad_form_or_tag_names_source_and_position(self, forms, tags, message, source, where):
+    @pytest.mark.parametrize("where", ["sentence"], ids=["-sentence"])  # ids of when a sentence held a label
+    def test_bad_form_or_tag_names_source_and_position(self, forms, tags, message, where):
         # a non-string used to reach the taggers, which failed with a bare TypeError
         with pytest.raises(DataError, match=f"^{where}: {message}$"):
-            Sentence(forms, tags, source)
+            Sentence(forms, tags)
 
     def test_slotted(self):
-        sent = Sentence(["a"], ["X"], "built.conllu:1-1")
+        sent = Sentence(["a"], ["X"])
         assert not hasattr(sent, "__dict__")
         with pytest.raises(AttributeError):
             sent.lemma = "a"
@@ -248,6 +294,19 @@ def _chain_corpus(n_sents=40, len_=5):
     return Corpus(sents)
 
 
+def _read_chain_corpus(tmp_path):
+    """_chain_corpus written with a comment before every third sentence and
+    read back, so that the line spans are uneven."""
+    path = tmp_path / "chain.conllu"
+    write_conllu(_chain_corpus(), str(path))
+    blocks = path.read_text(encoding="utf-8").split("\n\n")
+    path.write_text("\n\n".join(f"# s{i}\n{b}" if i % 3 == 0 else b for i, b in enumerate(blocks)),
+                    encoding="utf-8")
+    corpus = read_conllu(str(path))
+    assert corpus == _chain_corpus()
+    return corpus
+
+
 class TestCorruptLabels:
     def test_rate_zero_is_identity(self):
         corpus = _chain_corpus()
@@ -279,6 +338,14 @@ class TestCorruptLabels:
         with pytest.raises(ValueError):
             corrupt_labels(_chain_corpus(), 1.5, Rng(1))
 
+    def test_sources_kept(self, tmp_path):
+        corpus = _read_chain_corpus(tmp_path)
+        out, _ = corrupt_labels(corpus, 0.5, Rng(3))
+        assert out.path == corpus.path
+        assert [out.source(i) for i in range(len(out))] == [corpus.source(i) for i in range(len(corpus))]
+        built, _ = corrupt_labels(_chain_corpus(), 0.5, Rng(3))
+        assert built.lines is None and built.source(3) == "sentence 3"
+
 
 class TestSubsample:
     def test_full_size_is_identity(self):
@@ -297,6 +364,15 @@ class TestSubsample:
         assert a == b
         positions = [corpus.sentences.index(s) for s in a.sentences]
         assert positions == sorted(positions)
+
+    def test_sources_kept(self, tmp_path):
+        corpus = _read_chain_corpus(tmp_path)
+        out = subsample(corpus, 10, Rng(5))
+        positions = [corpus.sentences.index(s) for s in out.sentences]
+        assert [out.source(j) for j in range(10)] == [corpus.source(i) for i in positions]
+        assert out.source(0).startswith(f"{corpus.path}:") and len(out.lines) == 20
+        built = subsample(_chain_corpus(), 10, Rng(5))
+        assert built.lines is None and built.source(9) == "sentence 9"
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -80,17 +80,31 @@ class TestCompare:
 
 class TestSummary:
     def test_workload_summary_from_canned_lines(self):
-        parent = [_line(0.40 + 0.01 * i, 1000.0 + i) for i in range(10)]
+        parent = [_line(0.40 + 0.01 * i, 1000.0 + i, failed=i == 5) for i in range(10)]
         change = [_line(0.41 + 0.01 * i, 1200.0 + i, failed=i == 3) for i in range(10)]
         got = pairs.summarise(_records(parent, change), METRICS)["tnt-200k"]
         assert got["seeds"] == list(range(211, 221)) and got["pairs"] == 10
         assert got["all_correct"] and got["incorrect"] == []
-        assert got["failed_ops"] == {"parent": 0, "change": 1}
+        assert got["failed_ops"] == {"parent": 1, "change": 1}
         assert got["attempted_ops"] == {"parent": 1000, "change": 1000}
+        assert got["failed_share"] == {"parent": 0.001, "change": 0.001}
         tag, setup = got["metrics"]["tag_tok_s"], got["metrics"]["setup_s"]
         assert tag["parent"]["runs"] == [1000.0 + i for i in range(10)]
         assert tag["change_wins"] == 10 and tag["claim_met"]
         assert setup["change_wins"] == 0 and setup["within_bound"] and not setup["claim_met"]
+
+    def test_no_claim_for_a_change_that_fails_more_operations(self, tmp_path):
+        # the change wins all 10 pairs, but fails 2 of 1000 operations to the parent's 1
+        parent = [_line(0.4, 1000.0 + i, failed=i == 5) for i in range(10)]
+        change = [_line(0.4, 1300.0 + i, failed=i in (2, 7)) for i in range(10)]
+        records = _records(parent, change)
+        tag = pairs.summarise(records, METRICS)["tnt-200k"]["metrics"]["tag_tok_s"]
+        assert tag["change_wins"] == 10 and tag["median_diff"] > tag["parent_iqr"]
+        assert not tag["claim_met"]
+        assert not pairs.report("t", records, METRICS, ("tnt-200k", "tag_tok_s"))["claim"]["met"]
+        # a lower share holds the claim: more attempted operations, one failed
+        change = [{**_line(0.4, 1300.0 + i, failed=i == 2), "attempted": 200} for i in range(10)]
+        assert pairs.summarise(_records(parent, change), METRICS)["tnt-200k"]["metrics"]["tag_tok_s"]["claim_met"]
 
     def test_only_complete_pairs_count_and_a_wrong_run_shows(self):
         records = _records([_line(1.0, 10.0)] * 3, [_line(1.0, 11.0, correct=False)] * 3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqtag.autodiff import Parameter
-from seqtag.corpus import Corpus, Sentence
+from seqtag.corpus import Corpus, Sentence, read_conllu, write_conllu
 from seqtag.representations import build_vocab
 from seqtag.tagger import (
     DivergenceError,
@@ -249,12 +249,25 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty dev corpus"):
             train(_toy_corpus(), _small_hp(epochs=1), dev_corpus=Corpus([]))
 
-    def test_divergence_guard(self):
+    def test_divergence_guard(self, tmp_path):
         # an absurd step size overflows the logits to inf, then lse goes nan
         corpus = _toy_corpus()
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="epoch"):
+            with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch \d+, sentence \d+$") as err:
                 train(corpus, _small_hp(epochs=2, lr=1e308))
+        assert err.value.source == f"sentence {err.value.sentence_index}"
+        # read from a file, the sentence is named by its lines there too
+        path = tmp_path / "train.conllu"
+        write_conllu(corpus, str(path))
+        read = read_conllu(str(path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                train(read, _small_hp(epochs=2, lr=1e308))
+        i = err.value.sentence_index
+        first = 1 + sum(len(s) + 1 for s in corpus.sentences[:i])  # each sentence then a blank line
+        span = f"{path}:{first}-{first + len(corpus.sentences[i]) - 1}"
+        assert err.value.source == read.source(i) == span
+        assert str(err.value) == f"non-finite loss at epoch {err.value.epoch + 1}, sentence {i} ({span})"
 
     def test_missing_gradient_raises(self, monkeypatch):
         extra = Parameter("extra.W", np.zeros(2))

@@ -546,6 +546,38 @@ class TestPersistence:
         assert load_hmm(path).predict(["a", "b", "zz"])[:2] == ["X", "Y"]
 
 
+class TestCountsHeldOnce:
+    def test_int64_counts_are_held_not_copied(self):
+        tagset, tri, forms, emit = _count(make_suffix_corpus(50, 1, seed=2)[0])
+        model = TrigramModel(tagset, tri, forms, emit)
+        assert model.tri is tri and model.emit is emit
+
+    def test_a_load_holds_int64_counts(self, tmp_path):
+        path = tmp_path / "tnt.bin"
+        save_hmm(train_hmm(make_suffix_corpus(50, 1, seed=2)[0]), str(path))
+        model = load_hmm(str(path))
+        assert model.tri.dtype == model.emit.dtype == np.int64
+
+    @pytest.mark.parametrize("build", ["train_hmm", "load_hmm"])
+    def test_build_peak_above_what_it_keeps(self, tmp_path, build):
+        # a second int64 copy of the counts (train_hmm), or the file's float64
+        # blocks (load_hmm), stayed alive while the suffix tries were built:
+        # the peak rose 0.94 (train_hmm) and 0.75 (load_hmm) times what the
+        # model keeps, against 0.75 and 0.60 without them
+        train_c, _ = make_suffix_corpus(8000, 10, seed=3, types_per_tag=1000)
+        path = tmp_path / "tnt.bin"
+        save_hmm(train_hmm(train_c), str(path))
+        build_model = {"train_hmm": lambda: train_hmm(train_c), "load_hmm": lambda: load_hmm(str(path))}[build]
+        tracemalloc.start()
+        try:
+            model = build_model()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.tri.dtype == model.emit.dtype == np.int64
+        assert (peak - kept) / kept < {"train_hmm": 0.84, "load_hmm": 0.68}[build]
+
+
 _FORMS = st.text(alphabet="abeéAÉ零ß", min_size=1, max_size=4)
 
 

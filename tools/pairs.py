@@ -19,11 +19,12 @@ the change wins, ties counting for neither side; the change's median over
 the parent's; and whether the metric stayed within its bound, that is,
 whether its median got worse by no more than the bound (a share of the
 parent's median).  A metric's claim holds when the change wins at least 9
-of 10 pairs (the same share of other counts) and its median is better by
-more than the parent's interquartile range; --claim is checked before the
-first run.  Per workload it also says whether every run was correct, and
-lists each run that was not by seed and side: a seed that fails on both
-sides is a fault the two share, not a regression.
+of 10 pairs (the same share of other counts), its median is better by
+more than the parent's interquartile range, and the change failed no
+larger share of its attempted operations than the parent; --claim is
+checked before the first run.  Per workload it also says whether every
+run was correct, and lists each run that was not by seed and side: a seed
+that fails on both sides is a fault the two share, not a regression.
 
 A fresh process's set-up time drifts from run to run, so when a workload's
 setup_s median moves by more than 10% between the sides, the tool rechecks
@@ -49,7 +50,8 @@ from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
-CLAIM_RULE = "change wins at least 9 of 10 pairs and the median difference exceeds the parent's interquartile range"
+CLAIM_RULE = ("change wins at least 9 of 10 pairs, the median difference exceeds the parent's interquartile range, "
+              "and the change fails no larger share of its attempted operations than the parent")
 SETUP_MOVE = 0.10  # a setup_s median that moves by more than this share is rechecked
 SETUP_PROBES = 20  # alternating setup_probe.py runs per side in a recheck
 BLAS_THREADS = {v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}  # as run.py sets
@@ -175,7 +177,9 @@ def compare(parent, change, better, bound):
 def summarise(records, metrics):
     """{workload: summary} of run records; metrics is BENCHMARK.json's end_to_end list.
 
-    Only pairs with a run on both sides count."""
+    Only pairs with a run on both sides count.  No metric's claim holds on
+    a workload where the change failed a larger share of its attempted
+    operations than the parent."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in records):
         pairs = {}
@@ -186,14 +190,18 @@ def summarise(records, metrics):
         if not done:
             continue
         lines = {side: [pairs[key][side] for key in done] for side in SIDES}
-        out[workload] = {
+        failed = {side: sum(line["failed"] for line in lines[side]) for side in SIDES}
+        attempted = {side: sum(line["attempted"] for line in lines[side]) for side in SIDES}
+        share = {side: failed[side] / attempted[side] if attempted[side] else 0.0 for side in SIDES}
+        out[workload] = summary = {
             "seeds": [seed for _, seed in done],
             "pairs": len(done),
             "all_correct": all(line["correct"] for side in SIDES for line in lines[side]),
             "incorrect": [{"seed": seed, "side": side} for pair, seed in done for side in SIDES
                           if not pairs[pair, seed][side]["correct"]],
-            "failed_ops": {side: sum(line["failed"] for line in lines[side]) for side in SIDES},
-            "attempted_ops": {side: sum(line["attempted"] for line in lines[side]) for side in SIDES},
+            "failed_ops": failed,
+            "attempted_ops": attempted,
+            "failed_share": share,
             "metrics": {
                 m["name"]: compare(
                     *([line["metrics"][m["name"]]["value"] for line in lines[side]] for side in SIDES),
@@ -202,6 +210,9 @@ def summarise(records, metrics):
                 for m in metrics
             },
         }
+        if share["change"] > share["parent"]:
+            for metric in summary["metrics"].values():
+                metric["claim_met"] = False
     return out
 
 
